@@ -90,9 +90,6 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def build_delay_spec(self, spec_dict: dict) -> DelaySpec:
-        return _delay_spec(spec_dict)
-
     def build_network(self) -> NetworkModel:
         shifts = [(s["at_us"], _delay_spec(s["delay"]))
                   for s in self.network.shifts]

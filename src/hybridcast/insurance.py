@@ -19,7 +19,6 @@ from typing import Optional
 from .delays import DelayBoundConfig, DelayEstimator, compute_D
 from .errors import HybridcastError
 from .gmd import GmdAck, GmdMessage, GmdNodeState, msg_id_str
-from .trace import format_detail, format_seen
 
 MODE_GMD_ONLY = "GMD_ONLY"
 MODE_HYBRID = "HYBRID"
@@ -48,13 +47,6 @@ class InsuranceAck:
     acked_msg: tuple
     acker_ts: int
     seen: dict = field(default_factory=dict)  # sender -> contiguous watermark
-
-
-@dataclass
-class Suspicion:
-    suspect: int
-    raised_at: int
-    cleared_at: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -99,10 +91,8 @@ class InsuranceNode:
         self.deadlines: dict[tuple, int] = {}
         self.max_deadline_D = 0
         self.suspected: set[int] = set()
-        self.suspicions: list[Suspicion] = []
         self.last_heard: dict[int, int] = {}
         self.out_acks: list = []
-        self.delivery_paths: dict[tuple, str] = {}
         self._timers: dict = {}
         self._retx_round: dict[tuple, int] = {}
 
@@ -150,10 +140,10 @@ class InsuranceNode:
         msg = GmdMessage(mid, ts, payload)
         self.gmd.add_own(msg)
         self.engine.trace.add(self.engine.now, self.node_id, "BCAST",
-                              msg_id_str(mid), format_detail(ts=ts))
+                              msg_id_str(mid), {"ts": ts})
         self.engine.broadcast(self.node_id, self.membership, "GMD_MSG",
                               msg_id_str(mid), (msg, self._take_acks()),
-                              format_detail(ts=ts, frm=self.node_id))
+                              {"ts": ts, "frm": self.node_id})
         self._try_deliver()
         return mid
 
@@ -172,19 +162,19 @@ class InsuranceNode:
         if self.insured_active():
             self._arm_deadline(mid, ts, d_i)
         self.engine.trace.add(self.engine.now, self.node_id, "BCAST",
-                              msg_id_str(mid), format_detail(ts=ts, d=d_i))
+                              msg_id_str(mid), {"ts": ts, "d": d_i})
         self._send_copy(msg)
         self._set_timer(("copy2", mid), self.params.eta_us)
         self._try_deliver()
         return mid
 
     def _send_copy(self, msg: InsuranceMessage):
-        detail = format_detail(ts=msg.ts, seq=msg.msg_id[1], d=msg.d_i,
-                               copy=msg.copy_index, frm=self.node_id,
-                               relay=msg.relayed_by)
+        fields = {"ts": msg.ts, "seq": msg.msg_id[1], "d": msg.d_i,
+                  "copy": msg.copy_index, "frm": self.node_id,
+                  "relay": msg.relayed_by}
         kind = "INS_RELAY" if msg.relayed_by is not None else "INS_MSG"
         self.engine.broadcast(self.node_id, self.membership, kind,
-                              msg_id_str(msg.msg_id), msg, detail)
+                              msg_id_str(msg.msg_id), msg, fields)
 
     # -- ack plumbing ------------------------------------------------------
 
@@ -202,25 +192,21 @@ class InsuranceNode:
             if ("ackflush",) not in self._timers:
                 self._set_timer(("ackflush",), self.params.theta_us)
             return
-        kind = "GMD_ACK" if self.mode == MODE_GMD_ONLY else "INS_ACK"
-        seen = getattr(ack, "seen", None)
-        detail = format_detail(frm=self.node_id, ats=ack.acker_ts,
-                               seen=format_seen(seen) if seen else None)
-        self.engine.broadcast(self.node_id, self.membership, kind,
-                              msg_id_str(ack.acked_msg), (ack,), detail)
+        self._broadcast_acks((ack,))
 
     def _flush_acks(self):
         acks = tuple(self.out_acks)
         self.out_acks.clear()
-        if not acks:
-            return
+        if acks:
+            self._broadcast_acks(acks)
+
+    def _broadcast_acks(self, acks: tuple):
         kind = "GMD_ACK" if self.mode == MODE_GMD_ONLY else "INS_ACK"
         last = acks[-1]
-        seen = getattr(last, "seen", None)
-        detail = format_detail(frm=self.node_id, ats=last.acker_ts,
-                               seen=format_seen(seen) if seen else None)
+        fields = {"frm": self.node_id, "ats": last.acker_ts,
+                  "seen": getattr(last, "seen", None)}
         self.engine.broadcast(self.node_id, self.membership, kind,
-                              msg_id_str(last.acked_msg), acks, detail)
+                              msg_id_str(last.acked_msg), acks, fields)
 
     # -- kernel entry points -----------------------------------------------
 
@@ -264,8 +250,7 @@ class InsuranceNode:
             self._flush_acks()
         elif tag == "hb":
             self.engine.broadcast(self.node_id, self.membership, "HEARTBEAT",
-                                  "", self.clock(),
-                                  format_detail(frm=self.node_id))
+                                  "", self.clock(), {"frm": self.node_id})
             self._set_timer(("hb",), self.params.heartbeat_interval_us)
         elif tag == "hbcheck":
             self._check_heartbeats()
@@ -379,7 +364,7 @@ class InsuranceNode:
             target = self._next_retx_target(sender, seq)
         self.engine.send(self.node_id, target, "RETX_REQ",
                          msg_id_str((sender, seq)), (sender, (seq,)),
-                         format_detail(frm=self.node_id))
+                         {"frm": self.node_id})
         self._set_timer(("retx", sender, seq), self.params.theta_us)
 
     def _next_retx_target(self, sender: int, seq: int) -> int:
@@ -401,9 +386,9 @@ class InsuranceNode:
                     self.node_id, frm, "INS_RELAY", msg_id_str((sender, seq)),
                     replace(held, relayed_by=self.node_id, sent_ts=self.clock(),
                             piggy_acks=()),
-                    format_detail(ts=held.ts, seq=seq, d=held.d_i,
-                                  copy=held.copy_index, frm=self.node_id,
-                                  relay=self.node_id))
+                    {"ts": held.ts, "seq": seq, "d": held.d_i,
+                     "copy": held.copy_index, "frm": self.node_id,
+                     "relay": self.node_id})
 
     # -- proactive relay ---------------------------------------------------
 
@@ -484,12 +469,10 @@ class InsuranceNode:
         self.gmd.deliver_head()
         deadline = self.deadlines.pop(mid, None)
         self._cancel(("deadline", mid))
-        self.delivery_paths[mid] = path
-        clock_now = self.clock()
-        detail = format_detail(path=path, ts=ts, clk=clock_now,
-                               dl=deadline if path == DEADLINE_PATH else None)
+        fields = {"path": path, "ts": ts, "clk": self.clock(),
+                  "dl": deadline if path == DEADLINE_PATH else None}
         self.engine.trace.add(self.engine.now, self.node_id, "DELIVER",
-                              msg_id_str(mid), detail)
+                              msg_id_str(mid), fields)
         if self.on_deliver is not None:
             self.on_deliver(self.node_id, mid, ts, path, self.engine.now)
         return mid
@@ -500,9 +483,8 @@ class InsuranceNode:
         if peer in self.suspected or peer == self.node_id:
             return
         self.suspected.add(peer)
-        self.suspicions.append(Suspicion(peer, self.engine.now))
         self.engine.trace.add(self.engine.now, self.node_id, "SUSPECT",
-                              "", format_detail(peer=peer))
+                              "", {"peer": peer})
         if self.mode == MODE_ON_SUSPICION and len(self.suspected) == 1:
             for mid, entry in list(self.gmd.pending.items()):
                 held = self.store.get(mid)
@@ -514,12 +496,8 @@ class InsuranceNode:
         if peer not in self.suspected:
             return
         self.suspected.discard(peer)
-        for susp in reversed(self.suspicions):
-            if susp.suspect == peer and susp.cleared_at is None:
-                susp.cleared_at = self.engine.now
-                break
         self.engine.trace.add(self.engine.now, self.node_id, "SUSPECT_CLEAR",
-                              "", format_detail(peer=peer))
+                              "", {"peer": peer})
         if self.mode == MODE_ON_SUSPICION and not self.suspected:
             for mid in list(self.deadlines):
                 if mid in self.gmd.pending:
@@ -530,7 +508,7 @@ class InsuranceNode:
         self.gmd.remove_member(crashed)
         self.suspected.discard(crashed)
         self.engine.trace.add(self.engine.now, self.node_id, "NEW_VIEW",
-                              "", format_detail(removed=crashed))
+                              "", {"removed": crashed})
         self._try_deliver()
 
     def _check_heartbeats(self):

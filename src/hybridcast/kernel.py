@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CrashedNodeError, SyncFailedError
-from .trace import Trace, format_detail
+from .trace import NO_FIELDS, Trace
 
 BROADCAST = "broadcast"  # sentinel destination
 
@@ -162,13 +162,13 @@ class Engine:
     # -- messaging ---------------------------------------------------------
 
     def send(self, frm: int, to: int, kind: str, msg_id: str, payload,
-             detail: str = ""):
+             fields=NO_FIELDS):
         if frm in self.crashed:
             raise CrashedNodeError(f"node {frm} crashed at {self.crashed[frm]}")
         self.send_counts[kind] = self.send_counts.get(kind, 0) + 1
         if self.network.drop_prob > 0 and self.rng_net.random() < self.network.drop_prob:
             self.trace.add(self.now, frm, "DROP", msg_id,
-                           format_detail(kind=kind, to=to))
+                           {"kind": kind, "to": to})
             return
         delay = self.network.sample_delay(self.rng_net, self.now)
         # Links are FIFO per ordered pair: a message never overtakes an
@@ -176,13 +176,13 @@ class Engine:
         arrival = max(self.now + delay,
                       self._fifo_horizon.get((frm, to), 0))
         self._fifo_horizon[(frm, to)] = arrival
-        self._push(arrival, to, ("arr", frm, kind, msg_id, payload, detail))
+        self._push(arrival, to, ("arr", frm, kind, msg_id, payload, fields))
 
     def broadcast(self, frm: int, dests, kind: str, msg_id: str, payload,
-                  detail: str = ""):
+                  fields=NO_FIELDS):
         for dest in dests:
             if dest != frm:
-                self.send(frm, dest, kind, msg_id, payload, detail)
+                self.send(frm, dest, kind, msg_id, payload, fields)
 
     # -- clocks ------------------------------------------------------------
 
@@ -206,16 +206,15 @@ class Engine:
                 ref_read = self.clocks[reference].read(self.now - d_back)
                 estimate = ref_read + half
                 clock.offset_us = estimate - self.now
-                clock.drift_ppm = clock.drift_ppm  # rate error persists
                 clock.last_sync_us = self.now
                 clock.epsilon_us = half
                 clock.synchronized = True
                 self.trace.add(self.now, node_id, "SYNC", "",
-                               format_detail(eps=half, attempts=attempt))
+                               {"eps": half, "attempts": attempt})
                 return half
         clock.synchronized = False
         self.trace.add(self.now, node_id, "SYNC_FAIL", "",
-                       format_detail(bound=bound_us, attempts=max_attempts))
+                       {"bound": bound_us, "attempts": max_attempts})
         raise SyncFailedError(node_id, bound_us, max_attempts)
 
     # -- main loop ---------------------------------------------------------
@@ -239,8 +238,8 @@ class Engine:
             if target in self.crashed:
                 continue  # crashed nodes neither receive nor act
             if tag == "arr":
-                _, frm, kind, msg_id, payload, detail = entry
-                self.trace.add(fire_time, target, kind, msg_id, detail)
+                _, frm, kind, msg_id, payload, fields = entry
+                self.trace.add(fire_time, target, kind, msg_id, fields)
                 handler = self._on_message.get(target)
                 if handler is not None:
                     handler(frm, kind, msg_id, payload)

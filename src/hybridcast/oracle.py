@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 
 from .errors import IncompleteTraceError
-from .trace import Trace, parse_seen
+from .trace import Trace
 
 GMD_ORDERED = "GMD_ORDERED"
 CASE_1 = "CASE_1"
@@ -31,7 +31,7 @@ class OrderViolation:
 
 
 def delivery_sequences(trace: Trace, kind: str = "DELIVER") -> dict:
-    """Per-node ordered list of (msg_id, sim_time, detail) delivery records."""
+    """Per-node ordered list of delivery records."""
     seqs: dict[int, list] = {}
     for rec in trace.of_kind(kind):
         seqs.setdefault(rec.node, []).append(rec)
@@ -68,10 +68,9 @@ def check_total_order(trace: Trace, kind: str = "DELIVER") -> list[OrderViolatio
         max_ts = -1
         prev_id = None
         for rec in seqs[n]:
-            d = rec.detail_dict()
-            if "ts" not in d:
+            ts = rec.fields.get("ts")
+            if ts is None:
                 continue
-            ts = int(d["ts"])
             if ts < max_ts:
                 violations.append(OrderViolation(n, n, prev_id, rec.msg_id))
             else:
@@ -104,17 +103,15 @@ class CaseIndex:
             node = rec.node
             self.nodes.add(node)
             if kind == "BCAST":
-                d = rec.detail_dict()
-                self.messages[rec.msg_id] = (node, int(d["ts"]))
+                self.messages[rec.msg_id] = (node, rec.fields["ts"])
                 self._direct.setdefault((rec.msg_id, node), rec.sim_time_us)
             elif kind in _KNOWLEDGE_KINDS:
                 key = (rec.msg_id, node)
                 if key not in self._direct:
                     self._direct[key] = rec.sim_time_us
             elif kind == "INS_ACK":
-                d = rec.detail_dict()
-                seen = parse_seen(d.get("seen", ""))
-                for sender, mark in seen.items():
+                seen = rec.fields.get("seen")
+                for sender, mark in seen.items() if seen else ():
                     key = (node, sender)
                     marks = self._seen_marks.setdefault(key, [])
                     if marks and mark <= marks[-1]:
@@ -122,11 +119,10 @@ class CaseIndex:
                     self._seen_times.setdefault(key, []).append(rec.sim_time_us)
                     marks.append(mark)
             elif kind == "DELIVER":
-                d = rec.detail_dict()
-                path = d.get("path", "")
+                path = rec.fields.get("path", "")
                 self.deliveries[(rec.msg_id, node)] = (path, rec.sim_time_us)
                 if path == "DEADLINE_PATH":
-                    ts = int(d["ts"])
+                    ts = rec.fields["ts"]
                     tsmax = self._dl_tsmax.setdefault(node, [])
                     prev = tsmax[-1] if tsmax else -1
                     self._dl_times.setdefault(node, []).append(rec.sim_time_us)

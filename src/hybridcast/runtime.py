@@ -19,7 +19,6 @@ from .insurance import InsuranceNode, MODE_ON_SUSPICION, ProtocolParams
 from .kernel import Engine, NodeClock, _mix
 from .ordering import (MODE_SERVICE, OrderRequest, OrderServerState,
                        ParticipantState, REJECT)
-from .trace import format_detail
 
 SERVER_BASE = 1000  # order server node ids start here
 
@@ -134,10 +133,6 @@ class AbcastRuntime:
             born = self.bcast_times.get(mid)
             if born is not None:
                 self.latencies.append(now - born)
-
-    def run(self) -> "AbcastRuntime":
-        self.engine.run_until(self.cfg.duration_us)
-        return self
 
     def delivered_orders(self) -> dict:
         return {n: [f"{m[0]}:{m[1]}" for m in self.nodes[n].gmd.delivered]
@@ -277,7 +272,7 @@ class OrderingRuntime:
         tx.attempts += 1
         req = OrderRequest(tx_id, tx.host, frozenset(tx.group))
         self.engine.send(tx.host, server, kind, tx_id, req,
-                         format_detail(frm=tx.host, attempt=tx.attempts))
+                         {"frm": tx.host, "attempt": tx.attempts})
         tx.reqto_token = self.engine.set_timer(
             tx.host, self.cfg.workload.request_timeout_us, ("reqto", tx_id))
 
@@ -309,11 +304,11 @@ class OrderingRuntime:
             return
         tx.responded = True
         # the order is forwarded to every participant, the host included
+        fields = {"order": resp.order_no}
         for member in tx.group:
             history = resp.histories.get(member, [])
             self.engine.send(client, member, "ORDER_FWD", resp.tx_id,
-                             (resp.tx_id, resp.order_no, history),
-                             format_detail(order=resp.order_no))
+                             (resp.tx_id, resp.order_no, history), fields)
 
     def _on_reject(self, client: int, tx_id: str):
         tx = self.txs[tx_id]
@@ -336,8 +331,8 @@ class OrderingRuntime:
         if client in tx.executed_at:
             return
         tx.executed_at[client] = self.engine.now
-        detail = format_detail(ts=order_no) if order_no is not None else ""
-        self.engine.trace.add(self.engine.now, client, "EXEC", tx_id, detail)
+        self.engine.trace.add(self.engine.now, client, "EXEC", tx_id,
+                              {"ts": order_no})
         if len(tx.executed_at) == len(tx.group) and tx.done_us < 0:
             tx.done_us = self.engine.now
             self.latencies.append(tx.done_us - tx.born_us)
@@ -361,7 +356,7 @@ class OrderingRuntime:
         for member in tx.group:
             if member != tx.host:
                 self.engine.send(tx.host, member, "TX_MSG", tx.tx_id, payload,
-                                 format_detail(frm=tx.host, ts=ts))
+                                 {"frm": tx.host, "ts": ts})
         self._send_tx_ack(tx.host, tx.tx_id, tx.group)
 
     def _on_tx_msg(self, client: int, payload):
@@ -377,7 +372,7 @@ class OrderingRuntime:
             if member != client:
                 self.engine.send(client, member, "TX_ACK", tx_id,
                                  (tx_id, client, acker_ts),
-                                 format_detail(frm=client, ats=acker_ts))
+                                 {"frm": client, "ats": acker_ts})
 
     def _on_tx_ack(self, client: int, tx_id: str, acker: int, acker_ts: int):
         self._direct_hybrid[client] = max(self._direct_hybrid[client], acker_ts)
@@ -415,7 +410,7 @@ class OrderingRuntime:
     def _server_ingest(self, server: int, req, origin: int, forwarded=False):
         if server != self.active_server and not forwarded:
             self.engine.send(server, self.active_server, "SEQ_FWD", req.tx_id,
-                             (req, origin), format_detail(via=server))
+                             (req, origin), {"via": server})
             return
         state = self.server_states[server]
         cached = state.responses.get(req.tx_id)
@@ -471,10 +466,10 @@ class OrderingRuntime:
         self._respond(server, origin, resp)
 
     def _respond(self, server: int, origin: int, resp):
+        fields = {"order": resp.order_no}
         self.engine.trace.add(self.engine.now, server, "ORDER_ASSIGN",
-                              resp.tx_id, format_detail(order=resp.order_no))
-        self.engine.send(server, origin, "ORDER_RESP", resp.tx_id, resp,
-                         format_detail(order=resp.order_no))
+                              resp.tx_id, fields)
+        self.engine.send(server, origin, "ORDER_RESP", resp.tx_id, resp, fields)
 
     def _maybe_promote(self, server: int):
         operative = self._operative_servers()
@@ -486,15 +481,9 @@ class OrderingRuntime:
             self.server_states[new_active].resume_after(
                 max(self._highest_order_seen.values()),
                 self.cfg.sequencer_jump_gap)
-            self.engine.trace.add(self.engine.now, new_active, "TAKEOVER", "",
-                                  format_detail(
-                                      resume=self.server_states[new_active].next_order_no))
-
-    # -- run ---------------------------------------------------------------------
-
-    def run(self) -> "OrderingRuntime":
-        self.engine.run_until(self.cfg.duration_us)
-        return self
+            self.engine.trace.add(
+                self.engine.now, new_active, "TAKEOVER", "",
+                {"resume": self.server_states[new_active].next_order_no})
 
     def rejected_requests(self) -> int:
         return sum(s.rejected for s in self.server_states.values())

@@ -53,10 +53,10 @@ def test_check_trace_clean(tmp_path, capsys):
 
 def test_check_trace_violation_exits_1(tmp_path, capsys):
     t = Trace()
-    t.add(1, 0, "DELIVER", "a", "ts=1")
-    t.add(2, 0, "DELIVER", "b", "ts=2")
-    t.add(1, 1, "DELIVER", "b", "ts=2")
-    t.add(2, 1, "DELIVER", "a", "ts=1")
+    t.add(1, 0, "DELIVER", "a", {"ts": 1})
+    t.add(2, 0, "DELIVER", "b", {"ts": 2})
+    t.add(1, 1, "DELIVER", "b", {"ts": 2})
+    t.add(2, 1, "DELIVER", "a", {"ts": 1})
     path = tmp_path / "trace.csv"
     t.write_csv(path)
     assert main(["check-trace", str(path)]) == 1

@@ -1,3 +1,4 @@
+from hybridcast.gmd import msg_id_str
 from hybridcast.insurance import (
     DEADLINE_PATH,
     GMD_PATH,
@@ -42,9 +43,11 @@ def test_crash_free_broadcast_uses_gmd_path():
     eng, nodes = build_cluster()
     mid = nodes[1].broadcast("payload")
     eng.run_until(200_000)
-    for node in nodes.values():
+    paths = {(r.node, r.msg_id): r.fields["path"]
+             for r in eng.trace.of_kind("DELIVER")}
+    for node_id, node in nodes.items():
         assert delivered(node) == [mid]
-        assert node.delivery_paths[mid] == GMD_PATH
+        assert paths[(node_id, msg_id_str(mid))] == GMD_PATH
 
 
 def test_sender_crash_delivers_by_deadline():

@@ -10,15 +10,15 @@ from hybridcast.oracle import (
     check_total_order,
     classify_case,
 )
-from hybridcast.trace import Trace, format_detail, format_seen
+from hybridcast.trace import Trace
 
 
 def bcast(t, at, node, mid, ts):
-    t.add(at, node, "BCAST", mid, format_detail(ts=ts))
+    t.add(at, node, "BCAST", mid, {"ts": ts})
 
 
 def deliver(t, at, node, mid, ts, path="GMD_PATH"):
-    t.add(at, node, "DELIVER", mid, format_detail(path=path, ts=ts))
+    t.add(at, node, "DELIVER", mid, {"path": path, "ts": ts})
 
 
 class TestCheckTotalOrder:
@@ -65,10 +65,10 @@ class TestCheckTotalOrder:
 
     def test_exec_kind_checks_transaction_order(self):
         t = Trace()
-        t.add(1, 0, "EXEC", "t1", "ts=1")
-        t.add(2, 0, "EXEC", "t2", "ts=2")
-        t.add(1, 1, "EXEC", "t2", "ts=2")
-        t.add(2, 1, "EXEC", "t1", "ts=1")
+        t.add(1, 0, "EXEC", "t1", {"ts": 1})
+        t.add(2, 0, "EXEC", "t2", {"ts": 2})
+        t.add(1, 1, "EXEC", "t2", {"ts": 2})
+        t.add(2, 1, "EXEC", "t1", {"ts": 1})
         assert len(check_total_order(t, kind="EXEC")) >= 1
 
 
@@ -82,7 +82,7 @@ class TestCaseClassification:
     def test_case1_when_knowledge_precedes_any_deadline_delivery(self):
         t = Trace()
         bcast(t, 0, 0, "0:0", 10)
-        t.add(50, 1, "INS_MSG", "0:0", "ts=10;seq=0;copy=1;frm=0")
+        t.add(50, 1, "INS_MSG", "0:0", {"ts": 10, "seq": 0, "copy": 1, "frm": 0})
         deliver(t, 500, 1, "0:5", 400, path="DEADLINE_PATH")
         bcast(t, 390, 0, "0:5", 400)
         assert classify_case(t, "0:0", 1) == CASE_1
@@ -93,7 +93,8 @@ class TestCaseClassification:
         bcast(t, 20, 2, "2:0", 30)
         deliver(t, 100, 1, "2:0", 30, path="DEADLINE_PATH")
         # node 1 first learns of 0:0 long after that deadline delivery
-        t.add(5_000, 1, "INS_RELAY", "0:0", "ts=10;seq=0;copy=1;frm=2;relay=2")
+        t.add(5_000, 1, "INS_RELAY", "0:0",
+              {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
         deliver(t, 5_001, 1, "0:0", 10, path="DEADLINE_PATH")
         assert classify_case(t, "0:0", 1) == CASE_2
 
@@ -103,9 +104,10 @@ class TestCaseClassification:
         bcast(t, 20, 2, "2:0", 30)
         # node 1 acked something whose seen-vector covers sender 0 seq 0
         t.add(50, 1, "INS_ACK", "2:0",
-              format_detail(frm=1, ats=60, seen=format_seen({0: 0, 2: 0})))
+              {"frm": 1, "ats": 60, "seen": {0: 0, 2: 0}})
         deliver(t, 100, 1, "2:0", 30, path="DEADLINE_PATH")
-        t.add(5_000, 1, "INS_RELAY", "0:0", "ts=10;seq=0;copy=1;frm=2;relay=2")
+        t.add(5_000, 1, "INS_RELAY", "0:0",
+              {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
         assert classify_case(t, "0:0", 1) == CASE_1
 
     def test_unknown_message_raises(self):
@@ -117,7 +119,7 @@ class TestCaseClassification:
     def test_crashed_nodes_excluded_from_statistics(self):
         t = Trace()
         bcast(t, 0, 0, "0:0", 10)
-        t.add(5, 1, "CRASH", "", "")
+        t.add(5, 1, "CRASH")
         deliver(t, 100, 0, "0:0", 10)
         deliver(t, 100, 2, "0:0", 10)
         stats = case_statistics(t)
@@ -139,7 +141,7 @@ class TestCaseClassification:
         t = Trace()
         bcast(t, 0, 0, "0:3", 10)
         t.add(40, 1, "INS_ACK", "9:9",
-              format_detail(frm=1, ats=41, seen=format_seen({0: 3})))
-        t.add(70, 1, "INS_MSG", "0:3", "ts=10;seq=3;copy=1;frm=0")
+              {"frm": 1, "ats": 41, "seen": {0: 3}})
+        t.add(70, 1, "INS_MSG", "0:3", {"ts": 10, "seq": 3, "copy": 1, "frm": 0})
         idx = CaseIndex(t)
         assert idx.first_knowledge("0:3", 1) == 40
