@@ -105,6 +105,9 @@ class DelayEstimator:
         self.default_d_us = default_d_us
         self.per_origin: dict[int, DelayDistribution] = {}
         self.discarded = 0
+        # origin -> estimate under _estimates_cfg; record drops its origin
+        self._estimates: dict[int, int] = {}
+        self._estimates_cfg = None
 
     def record(self, origin: int, raw_delay_us: int, epsilon_us: int):
         if raw_delay_us <= 0:
@@ -117,11 +120,21 @@ class DelayEstimator:
         if dist is None:
             dist = self.per_origin[origin] = DelayDistribution(self.window_size)
         dist.observe(raw_delay_us)
+        self._estimates.pop(origin, None)
 
     def worst_case(self, cfg: DelayBoundConfig) -> int:
         """Max over origins of the pessimistic estimate; a prior before data."""
+        estimates = self._estimates
+        if cfg is not self._estimates_cfg:
+            estimates.clear()
+            self._estimates_cfg = cfg
         best = 0
-        for dist in self.per_origin.values():
-            if len(dist):
-                best = max(best, estimate_worst_case(dist, cfg))
+        for origin, dist in self.per_origin.items():
+            est = estimates.get(origin)
+            if est is None:
+                if not len(dist):
+                    continue
+                est = estimates[origin] = estimate_worst_case(dist, cfg)
+            if est > best:
+                best = est
         return best if best > 0 else self.default_d_us

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .delays import DelayBoundConfig, DelayEstimator, compute_D
 from .errors import HybridcastError
-from .gmd import GmdAck, GmdMessage, GmdNodeState, msg_id_str
+from .gmd import GmdMessage, GmdNodeState, msg_id_str
 
 MODE_GMD_ONLY = "GMD_ONLY"
 MODE_HYBRID = "HYBRID"
@@ -87,6 +87,7 @@ class InsuranceNode:
         self.contig: dict[int, int] = {}
         self.high: dict[int, int] = {}
         self.gaps: dict[int, set] = {}
+        self._open_gaps = 0  # total size of the sets in gaps
         self.ts_by_seq: dict[tuple, int] = {}
         self.deadlines: dict[tuple, int] = {}
         self.max_deadline_D = 0
@@ -95,6 +96,7 @@ class InsuranceNode:
         self.out_acks: list = []
         self._timers: dict = {}
         self._retx_round: dict[tuple, int] = {}
+        self._relay_ranks: dict[int, int] = {}  # sender -> rank; per view
 
     # -- small helpers -----------------------------------------------------
 
@@ -123,8 +125,12 @@ class InsuranceNode:
             self.engine.cancel_timer(token)
 
     def _relay_rank(self, sender: int) -> int:
-        others = sorted(m for m in self.membership if m != sender)
-        return others.index(self.node_id) if self.node_id in others else 0
+        rank = self._relay_ranks.get(sender)
+        if rank is None:
+            others = sorted(m for m in self.membership if m != sender)
+            rank = others.index(self.node_id) if self.node_id in others else 0
+            self._relay_ranks[sender] = rank
+        return rank
 
     # -- broadcast paths ---------------------------------------------------
 
@@ -313,7 +319,7 @@ class InsuranceNode:
     def _apply_ack(self, frm: int, ack):
         self.estimator.record(frm, self.clock() - ack.acker_ts,
                               self.params.epsilon_us)
-        self.gmd.on_ack(GmdAck(ack.acker, ack.acked_msg, ack.acker_ts))
+        self.gmd.on_ack(ack)
         seen = getattr(ack, "seen", None)
         if seen:
             for sender, watermark in seen.items():
@@ -338,6 +344,7 @@ class InsuranceNode:
         gap_set = self.gaps.get(sender)
         if gap_set and seq in gap_set:
             gap_set.discard(seq)
+            self._open_gaps -= 1
             self._cancel(("retx", sender, seq))
             self._retx_round.pop((sender, seq), None)
         if seq > self.high.get(sender, -1):
@@ -357,6 +364,7 @@ class InsuranceNode:
         if seq in gap_set:
             return
         gap_set.add(seq)
+        self._open_gaps += 1
         self._send_retx(sender, seq, target)
 
     def _send_retx(self, sender: int, seq: int, target: int):
@@ -427,6 +435,8 @@ class InsuranceNode:
             self._set_timer(("deadline", mid), self.params.theta_us)
 
     def _gap_blocks(self, m_ts: int) -> bool:
+        if not self._open_gaps:
+            return False
         for sender, gap_set in self.gaps.items():
             if not gap_set:
                 continue
@@ -506,6 +516,7 @@ class InsuranceNode:
 
     def on_new_view(self, crashed: int):
         self.gmd.remove_member(crashed)
+        self._relay_ranks.clear()
         self.suspected.discard(crashed)
         self.engine.trace.add(self.engine.now, self.node_id, "NEW_VIEW",
                               "", {"removed": crashed})
