@@ -30,6 +30,10 @@ class RunMetrics:
     max_server_queue: int = 0
     events_processed: int = 0
     messages_total: int = 0
+    sends_by_kind: dict = field(default_factory=dict)  # message kind -> sends
+    # broadcasts: (broadcast, operative node) pairs never delivered;
+    # transactions: transactions not executed at every participant
+    undelivered_at_end: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -94,9 +98,11 @@ def _run_broadcast(cfg: ScenarioConfig) -> RunResult:
     rt = AbcastRuntime(cfg)
     events = rt.engine.run_until(cfg.duration_us)
     metrics = RunMetrics(events_processed=events,
-                         messages_total=rt.messages_total)
+                         messages_total=rt.messages_total,
+                         sends_by_kind=dict(rt.engine.send_counts))
     metrics.latency_percentiles = latency_percentiles(rt.latencies)
     metrics.insurance_D_us = rt.max_deadline_bound()
+    metrics.undelivered_at_end = rt.undelivered_at_end()
     delivered_events = sum(len(v) for v in rt.deliveries.values())
     metrics.delivered_total = delivered_events
     if rt.messages_total:
@@ -121,13 +127,15 @@ def _run_transactions(cfg: ScenarioConfig) -> RunResult:
     rt = OrderingRuntime(cfg)
     events = rt.engine.run_until(cfg.duration_us)
     metrics = RunMetrics(events_processed=events,
-                         messages_total=len(rt.txs))
+                         messages_total=len(rt.txs),
+                         sends_by_kind=dict(rt.engine.send_counts))
     metrics.latency_percentiles = latency_percentiles(rt.latencies)
     metrics.messages_per_tx_mean = rt.messages_per_tx()
     metrics.rejected_requests = rt.rejected_requests()
     metrics.max_server_queue = rt.max_queue_len
     metrics.delivered_total = sum(
         1 for tx in rt.txs.values() if tx.done_us >= 0)
+    metrics.undelivered_at_end = len(rt.txs) - metrics.delivered_total
     metrics.order_violations = len(check_total_order(rt.engine.trace,
                                                      kind="EXEC"))
     return RunResult(cfg, metrics, rt.engine.trace, {})

@@ -141,6 +141,15 @@ class AbcastRuntime:
     def max_deadline_bound(self) -> int:
         return max((n.max_deadline_D for n in self.nodes.values()), default=0)
 
+    def undelivered_at_end(self) -> int:
+        """(broadcast, operative node) pairs with no delivery."""
+        missing = 0
+        for node_id in self.engine.operative_nodes():
+            delivered = self.nodes[node_id].gmd.delivered_ts
+            missing += sum(1 for mid in self.bcast_times
+                           if mid not in delivered)
+        return missing
+
 
 @dataclass
 class _TxState:

@@ -58,16 +58,16 @@ SCENARIOS = {
 DIGESTS = {  # name -> (trace.csv, metrics.json)
     "hybrid": (
         "aacb733f13e578d6a041ada1d9759e61d5f2548fcd84a130121f18c7be83623d",
-        "382aba569e251ec59ce4605c072d15045ae3fee74100cb2921f59b7e1334e750"),
+        "979808ba3162c2ef3937da55ad0d829159edf255ad92a25e5bd3dfef59d54b8c"),
     "hybrid-crash-lossy": (
         "746b468f96047f75cde4c245b300cb59c126a9abd5212ee7680ba0c13b60ae8e",
-        "1cb8241937ae4e59db6a6408eb0572eeb033a557f8163f9ae5645ace3151afcb"),
+        "6513c6459dd738506092e877611c959aa03a3ba6b4be5d7f6f27af144f7c8e43"),
     "gmd-only": (
         "95ae3a259ec89053f9312ae024b7da9bfd59451a30cb5013da4e8226a37173b8",
-        "53ff33d1d69b16690da3ef88b3ed6b8883a7e34508c40527f0cc5f34721d601a"),
+        "de9d2e7ee2a779904b06298d9be444d194d3ec400b5ea77f6193d59413fc82ea"),
     "service-takeover": (
         "5f09303fbc0a6d814ce892773d749d2dc90028fa13fd2e10de42140bc26a78f4",
-        "7cb9f9567cb390db32363a786d70bdd148a49f6b1845cf0815123f2f8829353f"),
+        "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),
 }
 
 

@@ -70,6 +70,23 @@ def test_transactions_run_produces_metrics():
     assert m.order_violations == 0
 
 
+def test_metrics_count_sends_and_undelivered():
+    m = run_scenario(broadcast_cfg()).metrics
+    assert m.undelivered_at_end == 0
+    assert m.sends_by_kind["INS_MSG"] == 2 * 3 * m.messages_total
+    # GMD_ONLY repairs no loss, so dropped copies leave deliveries missing
+    lossy = run_scenario(broadcast_cfg(
+        mode="GMD_ONLY",
+        network={"delay": {"family": "fixed", "value_us": 2000},
+                 "drop_prob": 0.01})).metrics
+    assert lossy.undelivered_at_end > 0
+    assert (lossy.undelivered_at_end
+            == 4 * lossy.messages_total - lossy.delivered_total)
+    tx = run_scenario(tx_cfg()).metrics
+    assert tx.undelivered_at_end == 0
+    assert tx.sends_by_kind["ORDER_REQ"] == tx.messages_total
+
+
 def test_write_outputs(tmp_path):
     result = run_scenario(broadcast_cfg())
     result.write(tmp_path / "out")
