@@ -12,6 +12,11 @@ both copies:
       + eta (relayer's own two copies are eta apart)
       + d (the relayed second copy reaches the last recipient)
       + margin
+
+The first three terms are the instant by which the rank-0 relayer fires,
+ts + d + eta + theta, measured from the broadcast rather than from the
+arrival of copy 1: the relayer waits as long for a copy 1 that arrived
+early as for one that took the full d, so D is unchanged.
 """
 
 from __future__ import annotations

@@ -4,7 +4,12 @@ Every insured broadcast goes out as two redundant copies separated by
 eta.  Acks carry per-sender contiguous sequence watermarks so receivers
 can detect gaps and request retransmissions, and a receiver that saw
 only one copy re-broadcasts both copies on behalf of the (presumably
-crashed) sender after a staggered timeout.  A pending message is
+crashed) sender after a staggered timeout.  The timeout is measured from
+the broadcast: copy 2 leaves at ts + eta and may take the sender's d_i,
+so a receiver of copy 1 relays at ts + d_i + eta + (rank+1)*theta on its
+own clock (at most d_i later than eta + (rank+1)*theta after the
+arrival, whatever the clock skew); a copy 2 that arrives first, because
+copy 1 was lost, starts the timeout at its arrival.  A pending message is
 delivered either by the GMD all-ack rules or once the local clock passes
 its timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
@@ -288,8 +293,13 @@ class InsuranceNode:
             ack = self.gmd.on_receive(GmdMessage(mid, msg.ts, msg.payload),
                                       self.clock())
             if msg.relayed_by is None:
-                rank = self._relay_rank(mid[0])
-                wait = self.params.eta_us + (rank + 1) * self.params.theta_us
+                p = self.params
+                wait = p.eta_us + (self._relay_rank(mid[0]) + 1) * p.theta_us
+                if msg.copy_index == 1:
+                    # copy 2 is only overdue d_i after ts + eta, so wait from
+                    # the broadcast, not from this arrival; the cap bounds
+                    # what a skewed clock can add
+                    wait += min(msg.d_i, max(0, msg.ts + msg.d_i - self.clock()))
                 self._set_timer(("second", mid), wait)
             if self.insured_active():
                 self._arm_deadline(mid, msg.ts, msg.d_i)

@@ -57,11 +57,11 @@ SCENARIOS = {
 
 DIGESTS = {  # name -> (trace.csv, metrics.json)
     "hybrid": (
-        "aacb733f13e578d6a041ada1d9759e61d5f2548fcd84a130121f18c7be83623d",
-        "979808ba3162c2ef3937da55ad0d829159edf255ad92a25e5bd3dfef59d54b8c"),
+        "505659bcbac3a1471330aa006b4e6d0beda1a91dbe6098b83916a6073ee17bb9",
+        "fde592fdea231bffc462e634783f9fc4441cd64f70076c7ab159edfd203557a5"),
     "hybrid-crash-lossy": (
-        "746b468f96047f75cde4c245b300cb59c126a9abd5212ee7680ba0c13b60ae8e",
-        "6513c6459dd738506092e877611c959aa03a3ba6b4be5d7f6f27af144f7c8e43"),
+        "58022059318eff815e0179edd811294ae6a561f918f185147342b25c160fc704",
+        "775fa37d88aabc74c785d2a5499adc9378226256e6506591848888325101c2fc"),
     "gmd-only": (
         "95ae3a259ec89053f9312ae024b7da9bfd59451a30cb5013da4e8226a37173b8",
         "de9d2e7ee2a779904b06298d9be444d194d3ec400b5ea77f6193d59413fc82ea"),

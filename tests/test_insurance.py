@@ -1,3 +1,4 @@
+from hybridcast.delays import compute_D
 from hybridcast.gmd import msg_id_str
 from hybridcast.insurance import (
     DEADLINE_PATH,
@@ -104,6 +105,83 @@ def test_relay_is_suppressed_when_another_relay_arrives():
     relayers = {r.detail_dict()["relay"] for r in eng.trace.of_kind("INS_RELAY")}
     # staggered timeouts: the first-ranked survivor relays, the rest stand down
     assert len(relayers) == 1
+
+
+def record_sends(eng):
+    """(time, sender, kind) of every send; the cluster's clocks are exact."""
+    sent = []
+    send = eng.send
+
+    def recording_send(frm, to, kind, *rest):
+        sent.append((eng.now, frm, kind))
+        send(frm, to, kind, *rest)
+
+    eng.send = recording_send
+    return sent
+
+
+ANCHOR = dict(n=4, delay_us=1000, eta_us=2000, theta_us=1000, epsilon_us=100,
+              default_d_us=5000)
+
+
+def relay_window_end(nodes, mid):
+    """ts + d_i + eta + theta: when the rank-0 relayer may give up on copy 2."""
+    held, p = nodes[0].store[mid], nodes[0].params
+    return held.ts + held.d_i + p.eta_us + p.theta_us
+
+
+def crash_after_copy1():
+    eng, nodes = build_cluster(**ANCHOR)
+    sent = record_sends(eng)
+    mid = nodes[0].broadcast("half sent")
+    eng.schedule_crash(0, 1)  # copy 1 left at 0 and lands at 1000
+    eng.run_until(2_000_000)
+    relays = [(t, frm) for t, frm, kind in sent if kind == "INS_RELAY"]
+    return eng, nodes, mid, relays
+
+
+def test_early_copy1_relays_no_sooner_than_window_from_broadcast():
+    eng, nodes, mid, relays = crash_after_copy1()
+    assert relays
+    assert min(t for t, _ in relays) >= relay_window_end(nodes, mid)
+
+
+def test_rank0_relays_by_window_end_and_survivors_meet_deadline():
+    eng, nodes, mid, relays = crash_after_copy1()
+    assert min(t for t, frm in relays if frm == 1) <= relay_window_end(nodes, mid)
+    held, node = nodes[0].store[mid], nodes[1]
+    limit = held.ts + compute_D(held.d_i, node.bound_cfg) + node.params.epsilon_us
+    for i in (1, 2, 3):
+        assert delivered(nodes[i]) == [mid]
+    for rec in eng.trace.of_kind("DELIVER"):
+        assert rec.fields["clk"] < limit
+
+
+def test_lagging_clock_delays_relay_by_at_most_d_i():
+    eng, nodes = build_cluster(**ANCHOR)
+    eng.clocks[1].offset_us = -50_000  # node 1 reads the broadcast as future
+    sent = record_sends(eng)
+    mid = nodes[0].broadcast("half sent")
+    eng.schedule_crash(0, 1)
+    eng.run_until(2_000_000)
+    held, p = nodes[0].store[mid], nodes[0].params
+    arrival_timeout = 1000 + p.eta_us + p.theta_us
+    first = min(t for t, frm, kind in sent if kind == "INS_RELAY" and frm == 1)
+    assert first == arrival_timeout + held.d_i
+
+
+def test_second_copy_inside_window_cancels_relay():
+    eng, nodes = build_cluster(**ANCHOR)
+    # from t=1000 every link takes 4 ms: copy 2 (sent at 2000) lands at 6000,
+    # after arrival + eta + theta but before ts + d_i + eta + theta
+    eng.network.shifts = [(1000, DelaySpec("fixed", value_us=4000))]
+    sent = record_sends(eng)
+    mid = nodes[0].broadcast("late copy 2")
+    eng.run_until(2_000_000)
+    assert relay_window_end(nodes, mid) > 6000
+    assert not [s for s in sent if s[2] == "INS_RELAY"]
+    for node in nodes.values():
+        assert delivered(node) == [mid]
 
 
 def test_retransmission_fills_gap_from_ack_evidence():
