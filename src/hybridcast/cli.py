@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     result = run_scenario(cfg)
-    result.write(args.out)
+    with result.trace:
+        result.write(args.out)
     print(json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -93,8 +94,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_trace(args) -> int:
-    trace = Trace.read_csv(args.trace)
-    violations = check_total_order(trace, kind=args.kind)
+    with Trace.read_csv(args.trace) as trace:
+        violations = check_total_order(trace, kind=args.kind)
     if violations:
         for v in violations:
             print(f"violation: nodes {v.node_a}/{v.node_b}: "

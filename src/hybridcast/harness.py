@@ -7,9 +7,9 @@ import os
 from dataclasses import dataclass, field, asdict
 
 from .config import ScenarioConfig, config_from_dict
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, IncompleteTraceError
 from .kernel import _mix
-from .oracle import case_statistics, check_total_order
+from .oracle import CaseIndex, OrderIndex
 from .runtime import AbcastRuntime, OrderingRuntime
 
 
@@ -96,6 +96,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 def _run_broadcast(cfg: ScenarioConfig) -> RunResult:
     rt = AbcastRuntime(cfg)
+    cases = CaseIndex()
+    rt.engine.trace.on_record = cases.add
     events = rt.engine.run_until(cfg.duration_us)
     metrics = RunMetrics(events_processed=events,
                          messages_total=rt.messages_total,
@@ -103,21 +105,21 @@ def _run_broadcast(cfg: ScenarioConfig) -> RunResult:
     metrics.latency_percentiles = latency_percentiles(rt.latencies)
     metrics.insurance_D_us = rt.max_deadline_bound()
     metrics.undelivered_at_end = rt.undelivered_at_end()
-    delivered_events = sum(len(v) for v in rt.deliveries.values())
-    metrics.delivered_total = delivered_events
+    delivered = cases.delivered
+    metrics.delivered_total = len(delivered)
     if rt.messages_total:
-        stats = case_statistics(rt.engine.trace)
+        stats = cases.statistics()
         metrics.case1_count = stats["case1_count"]
         metrics.case2_count = stats["case2_count"]
         metrics.case2_rate = stats["case2_rate"]
         metrics.gmd_path_count = stats["gmd_path_count"]
         metrics.deadline_path_count = stats["deadline_path_count"]
-        metrics.order_violations = len(check_total_order(rt.engine.trace))
+        metrics.order_violations = len(delivered.violations())
     if cfg.crash_schedule:
         crash_at = min(e["at_us"] for e in cfg.crash_schedule)
         crashed = {e["node"] for e in cfg.crash_schedule}
-        per_node = {n: [t for t, *_ in recs]
-                    for n, recs in rt.deliveries.items() if n not in crashed}
+        per_node = {n: delivered.times.get(n, []) for n in rt.membership
+                    if n not in crashed}
         metrics.blocked_interval_us = blocked_interval(
             per_node, crash_at, cfg.duration_us)
     return RunResult(cfg, metrics, rt.engine.trace, rt.delivered_orders())
@@ -125,6 +127,8 @@ def _run_broadcast(cfg: ScenarioConfig) -> RunResult:
 
 def _run_transactions(cfg: ScenarioConfig) -> RunResult:
     rt = OrderingRuntime(cfg)
+    executed = OrderIndex("EXEC")
+    rt.engine.trace.on_record = executed.add
     events = rt.engine.run_until(cfg.duration_us)
     metrics = RunMetrics(events_processed=events,
                          messages_total=len(rt.txs),
@@ -136,8 +140,9 @@ def _run_transactions(cfg: ScenarioConfig) -> RunResult:
     metrics.delivered_total = sum(
         1 for tx in rt.txs.values() if tx.done_us >= 0)
     metrics.undelivered_at_end = len(rt.txs) - metrics.delivered_total
-    metrics.order_violations = len(check_total_order(rt.engine.trace,
-                                                     kind="EXEC"))
+    if len(rt.engine.trace) == 0:
+        raise IncompleteTraceError("empty trace")
+    metrics.order_violations = len(executed.violations())
     return RunResult(cfg, metrics, rt.engine.trace, {})
 
 
@@ -171,6 +176,7 @@ def sweep(cfg_template: ScenarioConfig, axis: str, values) -> list:
         data["seed"] = derive_seed(cfg_template.seed, i)
         cfg = config_from_dict(data)
         result = run_scenario(cfg)
+        result.trace.close()
         rows.append((value, result.metrics))
     return rows
 

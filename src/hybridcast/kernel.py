@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CrashedNodeError, SyncFailedError
-from .trace import NO_FIELDS, Trace
+from .trace import NO_FIELDS, Trace, detail_text
 
 BROADCAST = "broadcast"  # sentinel destination
 
@@ -123,6 +123,10 @@ class Engine:
         self._fifo_horizon: dict[tuple, int] = {}  # (frm, to) -> last arrival
         self._on_message: dict[int, Callable] = {}
         self._on_timer: dict[int, Callable] = {}
+        # detail text of the last fields sent: one broadcast passes one dict
+        # to consecutive sends, and its arrivals all share that text
+        self._sent_fields = None
+        self._sent_detail = ""
 
     # -- node registry -----------------------------------------------------
 
@@ -170,13 +174,17 @@ class Engine:
             self.trace.add(self.now, frm, "DROP", msg_id,
                            {"kind": kind, "to": to})
             return
+        if fields is not self._sent_fields:
+            self._sent_fields = fields
+            self._sent_detail = detail_text(fields)
         delay = self.network.sample_delay(self.rng_net, self.now)
         # Links are FIFO per ordered pair: a message never overtakes an
         # earlier one on the same link, even when its own delay draw is lower.
         arrival = max(self.now + delay,
                       self._fifo_horizon.get((frm, to), 0))
         self._fifo_horizon[(frm, to)] = arrival
-        self._push(arrival, to, ("arr", frm, kind, msg_id, payload, fields))
+        self._push(arrival, to, ("arr", frm, kind, msg_id, payload, fields,
+                                 self._sent_detail))
 
     def broadcast(self, frm: int, dests, kind: str, msg_id: str, payload,
                   fields=NO_FIELDS):
@@ -238,8 +246,8 @@ class Engine:
             if target in self.crashed:
                 continue  # crashed nodes neither receive nor act
             if tag == "arr":
-                _, frm, kind, msg_id, payload, fields = entry
-                self.trace.add(fire_time, target, kind, msg_id, fields)
+                _, frm, kind, msg_id, payload, fields, detail = entry
+                self.trace.add(fire_time, target, kind, msg_id, fields, detail)
                 handler = self._on_message.get(target)
                 if handler is not None:
                     handler(frm, kind, msg_id, payload)

@@ -5,12 +5,17 @@ pairwise relative-order check, and the classification of every
 (message, operative node) pair into GMD-ordered, Case 1 (the node knew
 of the message in time) or Case 2 (the node deadline-delivered a
 later-timestamped message before ever learning of this one).
+
+``OrderIndex`` and ``CaseIndex`` take one record at a time through
+``add``, so a run feeds them online through ``Trace.on_record``;
+``check_total_order`` and ``case_statistics`` feed them a whole trace.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import IncompleteTraceError
 from .trace import Trace
@@ -30,62 +35,91 @@ class OrderViolation:
     second: str  # delivered in the opposite order at node_b (or ts-inverted)
 
 
-def delivery_sequences(trace: Trace, kind: str = "DELIVER") -> dict:
-    """Per-node ordered list of delivery records."""
-    seqs: dict[int, list] = {}
-    for rec in trace.of_kind(kind):
-        seqs.setdefault(rec.node, []).append(rec)
-    return seqs
+class OrderIndex:
+    """Per-node sequences of one event kind (DELIVER or EXEC), fed record
+    by record, and the relative-order check over them."""
+
+    def __init__(self, kind: str = "DELIVER"):
+        self.kind = kind
+        self.ids: dict[int, list] = {}  # node -> msg_ids in record order
+        self.ts: dict[int, list] = {}  # node -> their "ts" fields
+        self.times: dict[int, list] = {}  # node -> their record times
+
+    def add(self, t: int, node: int, kind: str, msg_id: str, fields):
+        if kind != self.kind:
+            return
+        ids = self.ids.get(node)
+        if ids is None:
+            ids = self.ids[node] = []
+            self.ts[node] = []
+            self.times[node] = []
+        ids.append(msg_id)
+        self.ts[node].append(fields.get("ts"))
+        self.times[node].append(t)
+
+    def __len__(self):
+        return sum(len(ids) for ids in self.ids.values())
+
+    def violations(self) -> list[OrderViolation]:
+        """Every pair recorded in opposite relative order at two nodes, plus
+        per-node records that invert timestamp order."""
+        violations: list[OrderViolation] = []
+        nodes = sorted(self.ids)
+        order_of = {
+            n: {mid: i for i, mid in enumerate(self.ids[n])} for n in nodes
+        }
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                pos_b = order_of[b]
+                best = -1
+                prev_id = None
+                for mid in self.ids[a]:
+                    p = pos_b.get(mid)
+                    if p is None:
+                        continue
+                    if p < best:
+                        violations.append(OrderViolation(a, b, mid, prev_id))
+                    else:
+                        best = p
+                        prev_id = mid
+        # intra-node: m recorded after m' with m.ts < m'.ts
+        for n in nodes:
+            max_ts = -1
+            prev_id = None
+            for mid, ts in zip(self.ids[n], self.ts[n]):
+                if ts is None:
+                    continue
+                if ts < max_ts:
+                    violations.append(OrderViolation(n, n, prev_id, mid))
+                else:
+                    max_ts = ts
+                    prev_id = mid
+        return violations
+
+
+def _feed(records, add):
+    for r in records:
+        add(r.sim_time_us, r.node, r.event_kind, r.msg_id, r.fields)
 
 
 def check_total_order(trace: Trace, kind: str = "DELIVER") -> list[OrderViolation]:
-    """Every pair delivered in opposite relative order at two nodes, plus
-    per-node deliveries that invert timestamp order."""
-    seqs = delivery_sequences(trace, kind)
-    if not seqs and not any(True for _ in trace.of_kind("BCAST")):
-        if len(trace) == 0:
-            raise IncompleteTraceError("empty trace")
-    violations: list[OrderViolation] = []
-    nodes = sorted(seqs)
-    order_of = {
-        n: {r.msg_id: i for i, r in enumerate(seqs[n])} for n in nodes
-    }
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            pos_b = order_of[b]
-            common = [r.msg_id for r in seqs[a] if r.msg_id in pos_b]
-            best = -1
-            prev_id = None
-            for mid in common:
-                p = pos_b[mid]
-                if p < best:
-                    violations.append(OrderViolation(a, b, mid, prev_id))
-                else:
-                    best = p
-                    prev_id = mid
-    # intra-node: delivery of m after m' with m.ts < m'.ts
-    for n in nodes:
-        max_ts = -1
-        prev_id = None
-        for rec in seqs[n]:
-            ts = rec.fields.get("ts")
-            if ts is None:
-                continue
-            if ts < max_ts:
-                violations.append(OrderViolation(n, n, prev_id, rec.msg_id))
-            else:
-                max_ts = ts
-                prev_id = rec.msg_id
-    return violations
+    """``OrderIndex.violations`` of a whole trace."""
+    if len(trace) == 0:
+        raise IncompleteTraceError("empty trace")
+    index = OrderIndex(kind)
+    _feed(trace.of_kind(kind), index.add)
+    return index.violations()
 
 
 class CaseIndex:
-    """One-pass index over a trace for per-pair case classification."""
+    """Index for per-pair case classification, fed record by record (or
+    built from a whole trace); it keeps the DELIVER ``OrderIndex`` too."""
 
-    def __init__(self, trace: Trace):
+    def __init__(self, trace: Optional[Trace] = None):
         self.messages: dict[str, tuple] = {}  # msg_id -> (sender, ts)
         self.crashed: dict[int, int] = {}
-        self.deliveries: dict[tuple, tuple] = {}  # (msg_id, node) -> (path, time)
+        self.deliveries: dict[tuple, str] = {}  # (msg_id, node) -> path
+        self.delivered = OrderIndex("DELIVER")
         # knowledge via direct copies
         self._direct: dict[tuple, int] = {}  # (msg_id, node) -> first time
         # knowledge via seen-vectors: per (node, sender) a running-max timeline
@@ -95,40 +129,39 @@ class CaseIndex:
         self._dl_times: dict[int, list] = {}
         self._dl_tsmax: dict[int, list] = {}
         self.nodes: set[int] = set()
-        self._build(trace)
+        if trace is not None:
+            _feed(trace, self.add)
 
-    def _build(self, trace: Trace):
-        for rec in trace:
-            kind = rec.event_kind
-            node = rec.node
-            self.nodes.add(node)
-            if kind == "BCAST":
-                self.messages[rec.msg_id] = (node, rec.fields["ts"])
-                self._direct.setdefault((rec.msg_id, node), rec.sim_time_us)
-            elif kind in _KNOWLEDGE_KINDS:
-                key = (rec.msg_id, node)
-                if key not in self._direct:
-                    self._direct[key] = rec.sim_time_us
-            elif kind == "INS_ACK":
-                seen = rec.fields.get("seen")
-                for sender, mark in seen.items() if seen else ():
-                    key = (node, sender)
-                    marks = self._seen_marks.setdefault(key, [])
-                    if marks and mark <= marks[-1]:
-                        continue
-                    self._seen_times.setdefault(key, []).append(rec.sim_time_us)
-                    marks.append(mark)
-            elif kind == "DELIVER":
-                path = rec.fields.get("path", "")
-                self.deliveries[(rec.msg_id, node)] = (path, rec.sim_time_us)
-                if path == "DEADLINE_PATH":
-                    ts = rec.fields["ts"]
-                    tsmax = self._dl_tsmax.setdefault(node, [])
-                    prev = tsmax[-1] if tsmax else -1
-                    self._dl_times.setdefault(node, []).append(rec.sim_time_us)
-                    tsmax.append(max(prev, ts))
-            elif kind == "CRASH":
-                self.crashed.setdefault(node, rec.sim_time_us)
+    def add(self, t: int, node: int, kind: str, msg_id: str, fields):
+        self.nodes.add(node)
+        if kind == "BCAST":
+            self.messages[msg_id] = (node, fields["ts"])
+            self._direct.setdefault((msg_id, node), t)
+        elif kind in _KNOWLEDGE_KINDS:
+            key = (msg_id, node)
+            if key not in self._direct:
+                self._direct[key] = t
+        elif kind == "INS_ACK":
+            seen = fields.get("seen")
+            for sender, mark in seen.items() if seen else ():
+                key = (node, sender)
+                marks = self._seen_marks.setdefault(key, [])
+                if marks and mark <= marks[-1]:
+                    continue
+                self._seen_times.setdefault(key, []).append(t)
+                marks.append(mark)
+        elif kind == "DELIVER":
+            path = fields.get("path", "")
+            self.deliveries[(msg_id, node)] = path
+            self.delivered.add(t, node, kind, msg_id, fields)
+            if path == "DEADLINE_PATH":
+                ts = fields["ts"]
+                tsmax = self._dl_tsmax.setdefault(node, [])
+                prev = tsmax[-1] if tsmax else -1
+                self._dl_times.setdefault(node, []).append(t)
+                tsmax.append(max(prev, ts))
+        elif kind == "CRASH":
+            self.crashed.setdefault(node, t)
 
     def operative_nodes(self) -> list[int]:
         return sorted(n for n in self.nodes if n not in self.crashed)
@@ -162,10 +195,33 @@ class CaseIndex:
         known_at = self.first_knowledge(msg_id, node)
         if self.superseded_before(node, ts, known_at):
             return CASE_2
-        path_time = self.deliveries.get((msg_id, node))
-        if path_time is not None and path_time[0] == "GMD_PATH":
+        if self.deliveries.get((msg_id, node)) == "GMD_PATH":
             return GMD_ORDERED
         return CASE_1
+
+    def statistics(self) -> dict:
+        """Aggregate classification over all (message, operative node) pairs."""
+        if not self.messages:
+            raise IncompleteTraceError("trace contains no broadcast records")
+        counts = {GMD_ORDERED: 0, CASE_1: 0, CASE_2: 0}
+        operative = self.operative_nodes()
+        for msg_id in self.messages:
+            for node in operative:
+                counts[self.classify(msg_id, node)] += 1
+        total = len(self.messages) * len(operative)
+        paths = list(self.deliveries.values())
+        gmd_path = paths.count("GMD_PATH")
+        deadline_path = paths.count("DEADLINE_PATH")
+        return {
+            "pairs": total,
+            "gmd_ordered": counts[GMD_ORDERED],
+            "case1_count": counts[CASE_1],
+            "case2_count": counts[CASE_2],
+            "case1_rate": counts[CASE_1] / total if total else 0.0,
+            "case2_rate": counts[CASE_2] / total if total else 0.0,
+            "gmd_path_count": gmd_path,
+            "deadline_path_count": deadline_path,
+        }
 
 
 def classify_case(trace: Trace, msg_id: str, node: int) -> str:
@@ -173,26 +229,5 @@ def classify_case(trace: Trace, msg_id: str, node: int) -> str:
 
 
 def case_statistics(trace: Trace) -> dict:
-    """Aggregate classification over all (message, operative node) pairs."""
-    index = CaseIndex(trace)
-    if not index.messages:
-        raise IncompleteTraceError("trace contains no broadcast records")
-    counts = {GMD_ORDERED: 0, CASE_1: 0, CASE_2: 0}
-    operative = index.operative_nodes()
-    for msg_id in index.messages:
-        for node in operative:
-            counts[index.classify(msg_id, node)] += 1
-    total = len(index.messages) * len(operative)
-    gmd_path = sum(1 for p, _ in index.deliveries.values() if p == "GMD_PATH")
-    deadline_path = sum(
-        1 for p, _ in index.deliveries.values() if p == "DEADLINE_PATH")
-    return {
-        "pairs": total,
-        "gmd_ordered": counts[GMD_ORDERED],
-        "case1_count": counts[CASE_1],
-        "case2_count": counts[CASE_2],
-        "case1_rate": counts[CASE_1] / total if total else 0.0,
-        "case2_rate": counts[CASE_2] / total if total else 0.0,
-        "gmd_path_count": gmd_path,
-        "deadline_path_count": deadline_path,
-    }
+    """``CaseIndex.statistics`` of a whole trace."""
+    return CaseIndex(trace).statistics()

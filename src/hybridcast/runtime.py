@@ -54,7 +54,6 @@ class AbcastRuntime:
         self.membership = list(range(cfg.num_client_nodes))
         self.nodes: dict[int, InsuranceNode] = {}
         self.bcast_times: dict[tuple, int] = {}
-        self.deliveries: dict[int, list] = {n: [] for n in self.membership}
         self.latencies: list[int] = []
         self.messages_total = 0
         params = _protocol_params(cfg)
@@ -128,7 +127,6 @@ class AbcastRuntime:
                                              ("view", crashed))
 
     def _on_deliver(self, node_id, mid, ts, path, now):
-        self.deliveries[node_id].append((now, mid, ts, path))
         if node_id == mid[0]:
             born = self.bcast_times.get(mid)
             if born is not None:

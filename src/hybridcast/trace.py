@@ -1,26 +1,37 @@
 """Append-only run trace: the audit record every oracle consumes.
 
-In memory a record's detail is a dict of typed fields (ints, strings and,
-on acks, the seen-vector ``{sender: contiguous seq}``), shared by every
-arrival record of one send and never mutated; the oracles read it
-directly.  Only ``write_csv`` and ``read_csv`` know the text form
-``sim_time_us,node,event_kind,msg_id,detail``: the detail is ``key=value``
-pairs joined with ``;`` so the line stays comma-free (``None`` fields and
-an empty seen-vector are left out), a seen-vector is ``sender:seq`` pairs
-joined with ``|``, and integer text reads back as ``int``.
+The trace is streamed: ``Trace.add`` writes each record's CSV line
+``sim_time_us,node,event_kind,msg_id,detail`` to a spool file and keeps
+nothing in memory, so a run's memory does not grow with its trace.  The
+oracles run online instead: ``Trace.on_record`` receives every record's
+typed fields as it is added.  ``write_csv`` copies the spool into
+``trace.csv``; iterating a trace, ``of_kind`` and ``read_csv`` parse lines
+back one at a time into ``TraceRecord``s.
+
+A record's detail is a dict of typed fields (ints, strings and, on acks,
+the seen-vector ``{sender: contiguous seq}``), shared by every arrival
+record of one send and never mutated.  Only this module knows its text
+form: ``key=value`` pairs joined with ``;`` so the line stays comma-free
+(``None`` fields and an empty seen-vector are left out), a seen-vector is
+``sender:seq`` pairs joined with ``|``, and integer text reads back as
+``int``.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import IncompleteTraceError
 
 TRACE_HEADER = "sim_time_us,node,event_kind,msg_id,detail"
 
 NO_FIELDS: Mapping = MappingProxyType({})
+
+_READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +45,7 @@ class TraceRecord:
     @property
     def detail(self) -> str:
         """The detail column as ``write_csv`` writes it."""
-        return _detail_text(self.fields)
+        return detail_text(self.fields)
 
     def detail_dict(self) -> dict:
         """The detail column as text, ``key -> value``."""
@@ -59,7 +70,10 @@ def parse_seen(text: str) -> dict:
     return seen
 
 
-def _detail_text(fields: Mapping) -> str:
+def detail_text(fields: Mapping) -> str:
+    """The detail column of a record with these fields."""
+    if not fields:
+        return ""
     seen = fields.get("seen")
     if seen is not None:
         fields = {**fields, "seen": format_seen(seen) if seen else None}
@@ -81,59 +95,108 @@ def _parse_detail(text: str) -> dict:
     return fields
 
 
+def _record(t: str, node: str, kind: str, msg_id: str,
+            detail: str) -> TraceRecord:
+    return TraceRecord(int(t), int(node), kind, msg_id, _parse_detail(detail))
+
+
 class Trace:
-    """In-memory list of trace records, flushed to CSV at run end."""
+    """Trace records spooled as CSV lines to an anonymous temporary file.
+
+    ``on_record``, when set, is called as ``on_record(sim_time_us, node,
+    kind, msg_id, fields)`` for every record added: this is how the
+    oracles follow a run without the trace being kept.
+    """
 
     def __init__(self):
-        self.records: list[TraceRecord] = []
+        self.on_record: Optional[Callable] = None
+        self._spool = None  # opened by the first record
+        self._count = 0
+
+    def _open_spool(self):
+        self._spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+        return self._spool
 
     def add(self, sim_time_us: int, node: int, kind: str, msg_id: str = "",
-            fields: Mapping = NO_FIELDS):
-        self.records.append(TraceRecord(sim_time_us, node, kind, msg_id, fields))
+            fields: Mapping = NO_FIELDS, detail: Optional[str] = None):
+        """Record one event; ``detail`` is ``detail_text(fields)`` when a
+        caller has already formatted it."""
+        if detail is None:
+            detail = detail_text(fields)
+        (self._spool or self._open_spool()).write(
+            f"{sim_time_us},{node},{kind},{msg_id},{detail}\n")
+        self._count += 1
+        if self.on_record is not None:
+            self.on_record(sim_time_us, node, kind, msg_id, fields)
 
     def __len__(self):
-        return len(self.records)
+        return self._count
 
-    def __iter__(self):
-        return iter(self.records)
+    def close(self):
+        """Delete the spool; the trace cannot be read after this."""
+        if self._spool is not None:
+            self._spool.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _spooled(self) -> Iterator[bytes]:
+        """The spool's bytes as of this call, read without moving the
+        position that ``add`` writes at."""
+        if self._spool is None:
+            return
+        self._spool.flush()
+        fd = self._spool.fileno()
+        end, offset = os.fstat(fd).st_size, 0
+        while offset < end:
+            chunk = os.pread(fd, min(_READ_CHUNK, end - offset), offset)
+            offset += len(chunk)
+            yield chunk
+
+    def _lines(self) -> Iterator[str]:
+        rest = b""
+        for chunk in self._spooled():
+            *lines, rest = (rest + chunk).split(b"\n")
+            for line in lines:
+                yield line.decode()
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return (_record(*line.split(",", 4)) for line in self._lines())
 
     def of_kind(self, kind: str) -> Iterable[TraceRecord]:
-        return (r for r in self.records if r.event_kind == kind)
-
-    def _csv_lines(self) -> Iterable[str]:
-        yield TRACE_HEADER
-        texts = {}  # id(fields) -> detail text, formatted once per shared dict
-        for r in self.records:
-            text = texts.get(id(r.fields))
-            if text is None:
-                text = texts[id(r.fields)] = _detail_text(r.fields)
-            yield f"{r.sim_time_us},{r.node},{r.event_kind},{r.msg_id},{text}"
+        for parts in (line.split(",", 4) for line in self._lines()):
+            if parts[2] == kind:
+                yield _record(*parts)
 
     def to_csv_lines(self) -> list[str]:
-        return list(self._csv_lines())
+        return [TRACE_HEADER, *self._lines()]
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            for line in self._csv_lines():
-                fh.write(line)
-                fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(f"{TRACE_HEADER}\n".encode())
+            for chunk in self._spooled():
+                fh.write(chunk)
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
+        """The trace a CSV file holds.  Its lines are copied to the spool
+        here and parsed as the trace is iterated."""
         trace = cls()
-        parsed = {}  # detail text -> fields, shared like the originals
         with open(path) as fh:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
                 raise IncompleteTraceError(f"unexpected trace header: {header!r}")
-            for line in fh:
+            spool = trace._open_spool()
+            for number, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                t, node, kind, msg_id, detail = line.split(",", 4)
-                fields = parsed.get(detail)
-                if fields is None:
-                    fields = parsed[detail] = _parse_detail(detail)
-                trace.records.append(
-                    TraceRecord(int(t), int(node), kind, msg_id, fields))
+                if line.count(",") < 4:
+                    raise IncompleteTraceError(
+                        f"{path}:{number}: fewer than 5 columns")
+                spool.write(f"{line}\n")
+                trace._count += 1
         return trace

@@ -12,6 +12,8 @@ from hybridcast.harness import (
     sweep,
     sweep_csv_lines,
 )
+from hybridcast.oracle import case_statistics, check_total_order
+from hybridcast.trace import Trace
 
 
 def broadcast_cfg(**over):
@@ -93,6 +95,49 @@ def test_write_outputs(tmp_path):
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["delivered_total"] == result.metrics.delivered_total
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_online_case_counts_match_the_written_trace(tmp_path):
+    # test_acceptance's shift scenario, shortened: the deadline bound is
+    # trained on delays 10x smaller than those after the shift at 1.5 s
+    cfg = config_from_dict({
+        "seed": 9, "duration_us": 3_000_000, "mode": "HYBRID",
+        "num_client_nodes": 5, "percentile": 0.9, "safety_margin_us": 0,
+        "network": {
+            "delay": {"family": "lognormal", "median_us": 5000, "sigma": 0.5},
+            "shifts": [{"at_us": 1_500_000,
+                        "delay": {"family": "lognormal", "median_us": 50_000,
+                                  "sigma": 0.5}}],
+        },
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0},
+    })
+    run_scenario(cfg).write(tmp_path)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    trace = Trace.read_csv(tmp_path / "trace.csv")
+    stats = case_statistics(trace)
+    assert metrics["case2_count"] > 0
+    for key in ("case1_count", "case2_count", "case2_rate",
+                "gmd_path_count", "deadline_path_count"):
+        assert metrics[key] == stats[key], key
+    assert metrics["order_violations"] == len(check_total_order(trace))
+    assert metrics["delivered_total"] == sum(1 for _ in trace.of_kind("DELIVER"))
+
+
+def test_online_exec_order_check_matches_the_written_trace(tmp_path):
+    # DIRECT executes without a promise watermark, so EXEC order breaks
+    cfg = tx_cfg(seed=21, num_client_nodes=8,
+                 network={"delay": {"family": "lognormal", "median_us": 5000,
+                                    "sigma": 1.0}},
+                 workload={"kind": "transactions",
+                           "arrival_rate_per_s": 100.0,
+                           "participant_count_dist": 3,
+                           "ordering": "DIRECT"})
+    result = run_scenario(cfg)
+    result.write(tmp_path)
+    trace = Trace.read_csv(tmp_path / "trace.csv")
+    assert result.metrics.order_violations > 0
+    assert result.metrics.order_violations == len(
+        check_total_order(trace, kind="EXEC"))
 
 
 def test_crash_sets_blocked_interval():

@@ -32,7 +32,7 @@ def test_two_copies_go_out_eta_apart():
     eng, nodes = build_cluster(n=3, eta_us=2000)
     nodes[0].broadcast("x")
     eng.run_until(100_000)
-    sends = [r for r in eng.trace.records if r.event_kind == "INS_MSG"]
+    sends = [r for r in eng.trace if r.event_kind == "INS_MSG"]
     copies = sorted({(r.detail_dict()["copy"], r.sim_time_us) for r in sends})
     assert {c for c, _ in copies} == {"1", "2"}
     t1 = min(t for c, t in copies if c == "1")

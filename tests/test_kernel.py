@@ -58,7 +58,7 @@ def test_send_arrives_after_fixed_delay():
     eng.send(0, 1, "PING", "m0", "hello")
     eng.run_until(1_000)
     assert got == [(0, "PING", "m0", "hello")]
-    assert eng.trace.records[0].sim_time_us == 100
+    assert list(eng.trace)[0].sim_time_us == 100
 
 
 def test_fifo_link_prevents_overtaking():
@@ -128,7 +128,7 @@ def test_drop_traces_and_suppresses_arrival():
     eng.send(0, 1, "PING", "m0", None)
     eng.run_until(1_000)
     assert got == []
-    assert [r.event_kind for r in eng.trace.records] == ["DROP"]
+    assert [r.event_kind for r in eng.trace] == ["DROP"]
 
 
 def test_equal_fire_times_processed_in_target_then_insertion_order():
@@ -172,7 +172,7 @@ class TestClockSync:
         with pytest.raises(SyncFailedError):
             eng.sync_clock_probabilistic(1, 0, bound_us=10, max_attempts=4)
         assert not eng.clocks[1].synchronized
-        kinds = [r.event_kind for r in eng.trace.records]
+        kinds = [r.event_kind for r in eng.trace]
         assert kinds == ["SYNC_FAIL"]
 
 
