@@ -1,9 +1,14 @@
 """Group-membership-dependent abcast core.
 
 A broadcast carries a hybrid timestamp; every recipient answers with an
-ack whose timestamp promises that all of its future broadcasts will carry
-larger timestamps.  A message is deliverable once every member has acked
-it and every member's promise watermark exceeds its timestamp, so no
+ack (acker, promise, seen).  The promise is a timestamp that all of the
+acker's future broadcasts will exceed; ``seen`` maps each sender to the
+highest sequence number up to which the acker holds that sender's
+messages without a hole.  An acker's vector only grows with its promise,
+so each member's newest ack replaces its older ones, and a late ack that
+covers an earlier message stands in for an ack of it that was lost.  A
+message is deliverable once every member's newest ack covers it and
+every member's promise watermark exceeds its timestamp, so no
 earlier-timestamped message can still appear.  When a member crashes and
 stays silent, delivery stalls: that blocking is the phenomenon this
 module deliberately models.
@@ -12,7 +17,7 @@ module deliberately models.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 MsgId = tuple  # (sender, seq)
@@ -29,19 +34,6 @@ class GmdMessage:
     payload: object = None
 
 
-@dataclass(frozen=True)
-class GmdAck:
-    acker: int
-    acked_msg: MsgId
-    acker_ts: int
-
-
-@dataclass
-class _Pending:
-    msg: GmdMessage
-    acks: dict = field(default_factory=dict)  # acker -> acker_ts
-
-
 class GmdNodeState:
     """Per-node GMD protocol state.  Pure: callers supply clock readings."""
 
@@ -49,13 +41,14 @@ class GmdNodeState:
         self.node_id = node_id
         self.membership = set(membership)
         self.hybrid_clock = 0
-        self.pending: dict[MsgId, _Pending] = {}
+        self.pending: dict[MsgId, int] = {}  # msg_id -> ts
         self.delivered: list[MsgId] = []
         self.delivered_ts: dict[MsgId, int] = {}
         # largest timestamp seen from each member: the promise watermark
         self.promise: dict[int, int] = {m: 0 for m in self.membership}
+        # each member's newest ack: (promise, seen)
+        self.acks: dict[int, tuple] = {}
         self._order: list = []  # heap of (ts, sender, seq)
-        self._early_acks: dict[MsgId, dict] = {}
 
     # -- timestamps --------------------------------------------------------
 
@@ -78,35 +71,27 @@ class GmdNodeState:
         self._admit(msg)
 
     def _admit(self, msg: GmdMessage):
-        entry = _Pending(msg)
-        # the broadcast itself is the sender's implicit ack
-        entry.acks[msg.msg_id[0]] = msg.ts
-        stale = self._early_acks.pop(msg.msg_id, None)
-        if stale:
-            entry.acks.update(stale)
-        self.pending[msg.msg_id] = entry
+        self.pending[msg.msg_id] = msg.ts
         heapq.heappush(self._order, (msg.ts, msg.msg_id[0], msg.msg_id[1]))
         self.note_timestamp(msg.msg_id[0], msg.ts)
 
-    def on_receive(self, msg: GmdMessage, clock_reading: int) -> Optional[GmdAck]:
-        """Admit a foreign broadcast; returns the ack to send, None if duplicate."""
+    def on_receive(self, msg: GmdMessage, clock_reading: int) -> Optional[int]:
+        """Admit a foreign broadcast; returns the promise for its ack, None
+        if duplicate."""
         if self.known(msg.msg_id):
             return None
         self._admit(msg)
         if msg.ts > self.hybrid_clock:
             self.hybrid_clock = msg.ts
-        acker_ts = self.assign_timestamp(clock_reading)
-        ack = GmdAck(self.node_id, msg.msg_id, acker_ts)
-        self.on_ack(ack)  # count our own promise immediately
-        return ack
+        promise = self.assign_timestamp(clock_reading)
+        self.note_timestamp(self.node_id, promise)
+        return promise
 
-    def on_ack(self, ack: GmdAck):
-        self.note_timestamp(ack.acker, ack.acker_ts)
-        entry = self.pending.get(ack.acked_msg)
-        if entry is not None:
-            entry.acks[ack.acker] = ack.acker_ts
-        elif ack.acked_msg not in self.delivered_ts:
-            self._early_acks.setdefault(ack.acked_msg, {})[ack.acker] = ack.acker_ts
+    def on_ack(self, acker: int, promise: int, seen: dict):
+        self.note_timestamp(acker, promise)
+        newest = self.acks.get(acker)
+        if newest is None or promise > newest[0]:
+            self.acks[acker] = (promise, seen)
 
     # -- delivery ----------------------------------------------------------
 
@@ -123,12 +108,15 @@ class GmdNodeState:
         mid = self.head()
         if mid is None:
             return False
-        entry = self.pending[mid]
-        ts = entry.msg.ts
+        sender, seq = mid
+        ts = self.pending[mid]
         for member in self.membership:
-            if member == mid[0]:
-                continue  # sender's promise is implicit in its seq stream
-            if member not in entry.acks:
+            if member == sender or member == self.node_id:
+                # the sender's promise is implicit in its seq stream, and
+                # this node holds the message and stamps later ones higher
+                continue
+            ack = self.acks.get(member)
+            if ack is None or ack[1].get(sender, -1) < seq:
                 return False
             if self.promise.get(member, 0) <= ts:
                 return False
@@ -136,10 +124,10 @@ class GmdNodeState:
 
     def deliver_head(self) -> MsgId:
         mid = self.head()
-        entry = self.pending.pop(mid)
+        ts = self.pending.pop(mid)
         heapq.heappop(self._order)
         self.delivered.append(mid)
-        self.delivered_ts[mid] = entry.msg.ts
+        self.delivered_ts[mid] = ts
         return mid
 
     def try_deliver(self) -> list[MsgId]:

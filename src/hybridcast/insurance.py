@@ -1,28 +1,33 @@
 """Proactive synchronous insurance overlay on the GMD abcast.
 
-Every insured broadcast goes out as two redundant copies separated by
-eta.  Acks carry per-sender contiguous sequence watermarks so receivers
-can detect gaps and request retransmissions, and a receiver that saw
-only one copy re-broadcasts both copies on behalf of the (presumably
-crashed) sender after a staggered timeout.  The timeout is measured from
-the broadcast: copy 2 leaves at ts + eta and may take the sender's d_i,
-so a receiver of copy 1 relays at ts + d_i + eta + (rank+1)*theta on its
-own clock (at most d_i later than eta + (rank+1)*theta after the
-arrival, whatever the clock skew); a copy 2 that arrives first, because
-copy 1 was lost, starts the timeout at its arrival.  A pending message is
-delivered either by the GMD all-ack rules or once the local clock passes
-its timestamp plus the pessimistic bound, whichever happens first; the
+Every broadcast carries a per-sender sequence number, and every ack is
+one record: the acker, its promise timestamp and its seen-vector, the
+per-sender contiguous sequence watermarks of what it holds.  The GMD
+core delivers from each member's newest vector, and receivers use the
+same vectors to detect gaps and request retransmissions.  In GMD_ONLY
+mode that is all: one copy, no relay, no deadline.
+
+In the hybrid modes every broadcast goes out as two redundant copies
+separated by eta, and a receiver that saw only one copy re-broadcasts
+both copies on behalf of the (presumably crashed) sender after a
+staggered timeout.  The timeout is measured from the broadcast: copy 2
+leaves at ts + eta and may take the sender's d_i, so a receiver of copy
+1 relays at ts + d_i + eta + (rank+1)*theta on its own clock (at most
+d_i later than eta + (rank+1)*theta after the arrival, whatever the
+clock skew); a copy 2 that arrives first, because copy 1 was lost,
+starts the timeout at its arrival.  A pending message is delivered
+either by the GMD all-ack rules or once the local clock passes its
+timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
 earlier-timestamped message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .delays import DelayBoundConfig, DelayEstimator, compute_D
-from .errors import HybridcastError
 from .gmd import GmdMessage, GmdNodeState, msg_id_str
 
 MODE_GMD_ONLY = "GMD_ONLY"
@@ -49,9 +54,9 @@ class InsuranceMessage:
 @dataclass(frozen=True)
 class InsuranceAck:
     acker: int
-    acked_msg: tuple
-    acker_ts: int
-    seen: dict = field(default_factory=dict)  # sender -> contiguous watermark
+    acked_msg: tuple  # the arrival that prompted it; labels the trace only
+    promise: int
+    seen: dict  # sender -> contiguous watermark
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,9 @@ class InsuranceNode:
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
         self.arrival_forms: dict[tuple, set] = {}
-        self.received_seqs: dict[int, set] = {}
         self.contig: dict[int, int] = {}
-        self.high: dict[int, int] = {}
         self.gaps: dict[int, set] = {}
         self._open_gaps = 0  # total size of the sets in gaps
-        self.ts_by_seq: dict[tuple, int] = {}
         self.deadlines: dict[tuple, int] = {}
         self.max_deadline_D = 0
         self.suspected: set[int] = set()
@@ -140,27 +142,6 @@ class InsuranceNode:
     # -- broadcast paths ---------------------------------------------------
 
     def broadcast(self, payload=None) -> tuple:
-        if self.mode == MODE_GMD_ONLY:
-            return self.broadcast_gmd(payload)
-        return self.broadcast_insured(payload)
-
-    def broadcast_gmd(self, payload=None) -> tuple:
-        ts = self.gmd.assign_timestamp(self.clock())
-        mid = (self.node_id, self.seqno)
-        self.seqno += 1
-        msg = GmdMessage(mid, ts, payload)
-        self.gmd.add_own(msg)
-        self.engine.trace.add(self.engine.now, self.node_id, "BCAST",
-                              msg_id_str(mid), {"ts": ts})
-        self.engine.broadcast(self.node_id, self.membership, "GMD_MSG",
-                              msg_id_str(mid), (msg, self._take_acks()),
-                              {"ts": ts, "frm": self.node_id})
-        self._try_deliver()
-        return mid
-
-    def broadcast_insured(self, payload=None) -> tuple:
-        if self.mode == MODE_GMD_ONLY:
-            raise HybridcastError("insured broadcast requires a hybrid mode")
         ts = self.gmd.assign_timestamp(self.clock())
         mid = (self.node_id, self.seqno)
         self.seqno += 1
@@ -168,14 +149,15 @@ class InsuranceNode:
         msg = InsuranceMessage(mid, ts, d_i, 1, payload=payload, sent_ts=ts,
                                piggy_acks=self._take_acks())
         self.store[mid] = msg
-        self._note_seq(self.node_id, mid[1], ts, self.node_id)
+        self._note_seq(self.node_id, mid[1], self.node_id)
         self.gmd.add_own(GmdMessage(mid, ts, payload))
         if self.insured_active():
             self._arm_deadline(mid, ts, d_i)
         self.engine.trace.add(self.engine.now, self.node_id, "BCAST",
                               msg_id_str(mid), {"ts": ts, "d": d_i})
         self._send_copy(msg)
-        self._set_timer(("copy2", mid), self.params.eta_us)
+        if self.mode != MODE_GMD_ONLY:
+            self._set_timer(("copy2", mid), self.params.eta_us)
         self._try_deliver()
         return mid
 
@@ -212,11 +194,9 @@ class InsuranceNode:
             self._broadcast_acks(acks)
 
     def _broadcast_acks(self, acks: tuple):
-        kind = "GMD_ACK" if self.mode == MODE_GMD_ONLY else "INS_ACK"
         last = acks[-1]
-        fields = {"frm": self.node_id, "ats": last.acker_ts,
-                  "seen": getattr(last, "seen", None)}
-        self.engine.broadcast(self.node_id, self.membership, kind,
+        fields = {"frm": self.node_id, "ats": last.promise, "seen": last.seen}
+        self.engine.broadcast(self.node_id, self.membership, "INS_ACK",
                               msg_id_str(last.acked_msg), acks, fields)
 
     # -- kernel entry points -----------------------------------------------
@@ -224,10 +204,8 @@ class InsuranceNode:
     def on_message(self, frm: int, kind: str, msg_id: str, payload):
         self.last_heard[frm] = self.engine.now
         if kind in ("INS_MSG", "INS_RELAY"):
-            self._on_insured_msg(frm, payload)
-        elif kind == "GMD_MSG":
-            self._on_gmd_msg(frm, payload)
-        elif kind in ("INS_ACK", "GMD_ACK"):
+            self._on_copy(frm, payload)
+        elif kind == "INS_ACK":
             self._on_acks(frm, payload)
         elif kind == "RETX_REQ":
             self._on_retx_req(frm, payload)
@@ -274,9 +252,9 @@ class InsuranceNode:
         self._set_timer(("hb",), self.params.heartbeat_interval_us)
         self._set_timer(("hbcheck",), self.params.heartbeat_interval_us)
 
-    # -- insured receive path ----------------------------------------------
+    # -- receive path ------------------------------------------------------
 
-    def _on_insured_msg(self, frm: int, msg: InsuranceMessage):
+    def _on_copy(self, frm: int, msg: InsuranceMessage):
         self.estimator.record(frm, self.clock() - msg.sent_ts,
                               self.params.epsilon_us)
         for ack in msg.piggy_acks:
@@ -287,12 +265,12 @@ class InsuranceNode:
             self._cancel(("second", mid))
         forms = self.arrival_forms.setdefault(mid, set())
         form = (msg.copy_index, msg.relayed_by is not None)
-        if not self.gmd.known(mid):
+        if mid not in self.store:
             self.store[mid] = replace(msg, piggy_acks=())
-            self._note_seq(mid[0], mid[1], msg.ts, frm)
-            ack = self.gmd.on_receive(GmdMessage(mid, msg.ts, msg.payload),
-                                      self.clock())
-            if msg.relayed_by is None:
+            self._note_seq(mid[0], mid[1], frm)
+            promise = self.gmd.on_receive(GmdMessage(mid, msg.ts, msg.payload),
+                                          self.clock())
+            if msg.relayed_by is None and self.mode != MODE_GMD_ONLY:
                 p = self.params
                 wait = p.eta_us + (self._relay_rank(mid[0]) + 1) * p.theta_us
                 if msg.copy_index == 1:
@@ -303,7 +281,7 @@ class InsuranceNode:
                 self._set_timer(("second", mid), wait)
             if self.insured_active():
                 self._arm_deadline(mid, msg.ts, msg.d_i)
-            self._send_ack(InsuranceAck(self.node_id, mid, ack.acker_ts,
+            self._send_ack(InsuranceAck(self.node_id, mid, promise,
                                         dict(self.contig)))
         elif forms and form not in forms:
             # the other copy (or a relay) arrived: sender is not stuck
@@ -311,62 +289,44 @@ class InsuranceNode:
         forms.add(form)
         self._try_deliver()
 
-    def _on_gmd_msg(self, frm: int, payload):
-        msg, piggy = payload
-        self.estimator.record(frm, self.clock() - msg.ts, self.params.epsilon_us)
-        for ack in piggy:
-            self._apply_ack(frm, ack)
-        ack = self.gmd.on_receive(msg, self.clock())
-        if ack is not None:
-            self._send_ack(ack)
-        self._try_deliver()
-
     def _on_acks(self, frm: int, acks):
         for ack in acks:
             self._apply_ack(frm, ack)
         self._try_deliver()
 
-    def _apply_ack(self, frm: int, ack):
-        self.estimator.record(frm, self.clock() - ack.acker_ts,
+    def _apply_ack(self, frm: int, ack: InsuranceAck):
+        self.estimator.record(frm, self.clock() - ack.promise,
                               self.params.epsilon_us)
-        self.gmd.on_ack(ack)
-        seen = getattr(ack, "seen", None)
-        if seen:
-            for sender, watermark in seen.items():
-                if sender == self.node_id:
-                    continue
-                c = self.contig.get(sender, -1)
-                if watermark <= c:
-                    continue
-                received = self.received_seqs.get(sender, set())
-                for q in range(c + 1, watermark + 1):
-                    if q not in received:
-                        self._open_gap(sender, q, frm)
+        self.gmd.on_ack(ack.acker, ack.promise, ack.seen)
+        for sender, watermark in ack.seen.items():
+            if sender == self.node_id:
+                continue
+            c = self.contig.get(sender, -1)
+            if watermark <= c:
+                continue
+            for q in range(c + 1, watermark + 1):
+                if (sender, q) not in self.store:
+                    self._open_gap(sender, q, frm)
 
     # -- sequence bookkeeping ----------------------------------------------
 
-    def _note_seq(self, sender: int, seq: int, ts: int, via: int):
-        received = self.received_seqs.setdefault(sender, set())
-        if seq in received:
-            return
-        received.add(seq)
-        self.ts_by_seq[(sender, seq)] = ts
+    def _note_seq(self, sender: int, seq: int, via: int):
+        """Account for (sender, seq), which has just entered ``store``."""
+        store = self.store
         gap_set = self.gaps.get(sender)
         if gap_set and seq in gap_set:
             gap_set.discard(seq)
             self._open_gaps -= 1
             self._cancel(("retx", sender, seq))
             self._retx_round.pop((sender, seq), None)
-        if seq > self.high.get(sender, -1):
-            self.high[sender] = seq
         c = self.contig.get(sender, -1)
         if seq == c + 1:
-            while c + 1 in received:
+            while (sender, c + 1) in store:
                 c += 1
             self.contig[sender] = c
         elif seq > c + 1:
             for q in range(c + 1, seq):
-                if q not in received:
+                if (sender, q) not in store:
                     self._open_gap(sender, q, via)
 
     def _open_gap(self, sender: int, seq: int, target: int):
@@ -448,17 +408,13 @@ class InsuranceNode:
         if not self._open_gaps:
             return False
         for sender, gap_set in self.gaps.items():
-            if not gap_set:
-                continue
-            received = self.received_seqs.get(sender, set())
             for q in gap_set:
-                lower = -1
-                r = q - 1
-                while r >= 0:
-                    if r in received:
-                        lower = self.ts_by_seq[(sender, r)]
+                lower = -1  # ts of the nearest message held below the hole
+                for r in range(q - 1, -1, -1):
+                    held = self.store.get((sender, r))
+                    if held is not None:
+                        lower = held.ts
                         break
-                    r -= 1
                 if lower < m_ts:
                     return True
         return False
@@ -469,7 +425,7 @@ class InsuranceNode:
             mid = self.gmd.head()
             if mid is None:
                 break
-            m_ts = self.gmd.pending[mid].msg.ts
+            m_ts = self.gmd.pending[mid]
             # a known hole in some sender's sequence may hide a message that
             # must be ordered first, so it blocks both delivery paths
             if self._gap_blocks(m_ts):
@@ -485,7 +441,7 @@ class InsuranceNode:
         return out
 
     def _deliver(self, mid: tuple, path: str) -> tuple:
-        ts = self.gmd.pending[mid].msg.ts
+        ts = self.gmd.pending[mid]
         self.gmd.deliver_head()
         deadline = self.deadlines.pop(mid, None)
         self._cancel(("deadline", mid))
@@ -506,10 +462,8 @@ class InsuranceNode:
         self.engine.trace.add(self.engine.now, self.node_id, "SUSPECT",
                               "", {"peer": peer})
         if self.mode == MODE_ON_SUSPICION and len(self.suspected) == 1:
-            for mid, entry in list(self.gmd.pending.items()):
-                held = self.store.get(mid)
-                d = held.d_i if held is not None else self.current_d()
-                self._arm_deadline(mid, entry.msg.ts, d)
+            for mid, ts in list(self.gmd.pending.items()):
+                self._arm_deadline(mid, ts, self.store[mid].d_i)
         self._try_deliver()
 
     def on_suspicion_false(self, peer: int):

@@ -24,7 +24,7 @@ GMD_ORDERED = "GMD_ORDERED"
 CASE_1 = "CASE_1"
 CASE_2 = "CASE_2"
 
-_KNOWLEDGE_KINDS = ("INS_MSG", "INS_RELAY", "GMD_MSG")
+_KNOWLEDGE_KINDS = ("INS_MSG", "INS_RELAY")
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,11 @@ DIGESTS = {  # name -> (trace.csv, metrics.json)
         "505659bcbac3a1471330aa006b4e6d0beda1a91dbe6098b83916a6073ee17bb9",
         "fde592fdea231bffc462e634783f9fc4441cd64f70076c7ab159edfd203557a5"),
     "hybrid-crash-lossy": (
-        "58022059318eff815e0179edd811294ae6a561f918f185147342b25c160fc704",
-        "775fa37d88aabc74c785d2a5499adc9378226256e6506591848888325101c2fc"),
+        "019b7aaf7b2f7121c1eede3a4acb3f3e8ab6d26dd5fdf9ef25f6f8643a9f6365",
+        "8881043d44011e7d784ea8d92dab1f077fbebb8045c566f7f403cba3c19f9d22"),
     "gmd-only": (
-        "95ae3a259ec89053f9312ae024b7da9bfd59451a30cb5013da4e8226a37173b8",
-        "de9d2e7ee2a779904b06298d9be444d194d3ec400b5ea77f6193d59413fc82ea"),
+        "8c8d7ee1c106a62152490b3f84c6238821966145fa05e013abfeea05998dfef7",
+        "40928c8f18eec04291a7e47dad28127155ca5900afe149ab4d7be52a068d28e1"),
     "service-takeover": (
         "5f09303fbc0a6d814ce892773d749d2dc90028fa13fd2e10de42140bc26a78f4",
         "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),

@@ -1,21 +1,22 @@
-from hybridcast.gmd import GmdAck, GmdMessage, GmdNodeState, msg_id_str
+from hybridcast.gmd import GmdMessage, GmdNodeState, msg_id_str
 
 
 def bcast(nodes, sender, clock_reading, seq, payload=None):
-    """Drive one broadcast through every node synchronously; returns msg."""
+    """Drive one broadcast through every node synchronously; returns msg.
+    Every node is taken to hold the sender's earlier broadcasts."""
     ts = nodes[sender].assign_timestamp(clock_reading)
     msg = GmdMessage((sender, seq), ts, payload)
     nodes[sender].add_own(msg)
     acks = []
     for n in nodes.values():
         if n.node_id != sender:
-            ack = n.on_receive(msg, clock_reading)
-            assert ack is not None
-            acks.append(ack)
-    for ack in acks:
+            promise = n.on_receive(msg, clock_reading)
+            assert promise is not None
+            acks.append((n.node_id, promise, {sender: seq}))
+    for acker, promise, seen in acks:
         for n in nodes.values():
-            if n.node_id != ack.acker:
-                n.on_ack(ack)
+            if n.node_id != acker:
+                n.on_ack(acker, promise, seen)
     return msg
 
 
@@ -49,11 +50,9 @@ def test_delivery_needs_every_foreign_ack():
     ts = nodes[0].assign_timestamp(1000)
     msg = GmdMessage((0, 0), ts)
     nodes[0].add_own(msg)
-    ack1 = nodes[1].on_receive(msg, 1005)
-    nodes[0].on_ack(ack1)
+    nodes[0].on_ack(1, nodes[1].on_receive(msg, 1005), {0: 0})
     assert not nodes[0].head_deliverable()  # node 2 has not acked
-    ack2 = nodes[2].on_receive(msg, 1007)
-    nodes[0].on_ack(ack2)
+    nodes[0].on_ack(2, nodes[2].on_receive(msg, 1007), {0: 0})
     assert nodes[0].head_deliverable()
 
 
@@ -63,8 +62,8 @@ def test_promise_watermark_gates_delivery():
     msg = GmdMessage((0, 0), 1000)
     n.hybrid_clock = 1000
     n.add_own(msg)
-    n.on_ack(GmdAck(1, (0, 0), 1001))
-    n.on_ack(GmdAck(2, (0, 0), 999))  # stale promise
+    n.on_ack(1, 1001, {0: 0})
+    n.on_ack(2, 999, {0: 0})  # stale promise
     assert not n.head_deliverable()
     n.note_timestamp(2, 1002)
     assert n.head_deliverable()
@@ -76,9 +75,8 @@ def test_total_order_is_timestamp_then_sender():
     n = GmdNodeState(2, [0, 1, 2])
     n.on_receive(GmdMessage((0, 0), 2000), 2500)
     n.on_receive(GmdMessage((1, 0), 1500), 2600)
-    for mid in ((0, 0), (1, 0)):
-        n.on_ack(GmdAck(0, mid, 3000))
-        n.on_ack(GmdAck(1, mid, 3000))
+    for acker in (0, 1):
+        n.on_ack(acker, 3000, {0: 0, 1: 0})
     assert n.try_deliver() == [(1, 0), (0, 0)]
 
 
@@ -87,9 +85,8 @@ def test_sender_tie_breaks_equal_timestamps():
     for sender in (1, 0):
         msg = GmdMessage((sender, 0), 1000)
         n.on_receive(msg, 1500)
-    for sender in (0, 1):
-        n.on_ack(GmdAck(0, (sender, 0), 2000))
-        n.on_ack(GmdAck(1, (sender, 0), 2000))
+    for acker in (0, 1):
+        n.on_ack(acker, 2000, {0: 0, 1: 0})
     assert n.try_deliver() == [(0, 0), (1, 0)]
 
 
@@ -102,10 +99,41 @@ def test_duplicate_receive_is_ignored():
 
 def test_early_ack_buffered_until_message_arrives():
     n = GmdNodeState(2, [0, 1, 2])
-    n.on_ack(GmdAck(1, (0, 0), 1200))  # ack overtook the broadcast
-    msg = GmdMessage((0, 0), 1000)
-    n.on_receive(msg, 1100)
-    assert n.pending[(0, 0)].acks[1] == 1200
+    n.on_ack(1, 1200, {0: 0})  # ack overtook the broadcast
+    assert not n.head_deliverable()
+    n.on_receive(GmdMessage((0, 0), 1000), 1100)
+    # the ack already counts: no further ack is needed
+    assert n.try_deliver() == [(0, 0)]
+
+
+def test_later_ack_covering_an_earlier_message_delivers_it():
+    n = GmdNodeState(2, [0, 1, 2])
+    n.on_receive(GmdMessage((0, 0), 1000), 1050)
+    n.on_receive(GmdMessage((0, 1), 1100), 1150)
+    # member 1's ack for (0, 0) was lost; its ack for (0, 1) shows that it
+    # holds sender 0's messages up to seq 1
+    n.on_ack(1, 1200, {0: 1})
+    assert n.try_deliver() == [(0, 0), (0, 1)]
+
+
+def test_vector_below_seq_does_not_deliver():
+    n = GmdNodeState(2, [0, 1, 2])
+    n.on_receive(GmdMessage((0, 0), 1000), 1050)
+    n.on_receive(GmdMessage((0, 1), 1100), 1150)
+    n.on_ack(1, 1200, {0: 0})  # member 1 lacks (0, 1)
+    assert n.try_deliver() == [(0, 0)]
+    assert not n.head_deliverable()
+
+
+def test_older_ack_rolls_back_neither_vector_nor_promise():
+    n = GmdNodeState(2, [0, 1, 2])
+    n.on_receive(GmdMessage((0, 0), 1000), 1050)
+    n.on_receive(GmdMessage((0, 1), 1100), 1150)
+    n.on_ack(1, 1200, {0: 1})
+    n.on_ack(1, 1060, {0: 0})  # overtaken in flight by the newer one
+    assert n.acks[1] == (1200, {0: 1})
+    assert n.promise[1] == 1200
+    assert n.try_deliver() == [(0, 0), (0, 1)]
 
 
 def test_remove_member_unblocks_pending():
@@ -113,8 +141,7 @@ def test_remove_member_unblocks_pending():
     ts = nodes[0].assign_timestamp(1000)
     msg = GmdMessage((0, 0), ts)
     nodes[1].on_receive(msg, 1005)
-    ack = nodes[2].on_receive(msg, 1007)
-    nodes[1].on_ack(ack)
+    nodes[1].on_ack(2, nodes[2].on_receive(msg, 1007), {0: 0})
     nodes[1].note_timestamp(0, ts + 5)
     # node 0 crashed before acking anything else; node 1 blocks forever
     assert nodes[1].head_deliverable()  # sender ack is implicit

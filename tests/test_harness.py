@@ -76,12 +76,14 @@ def test_metrics_count_sends_and_undelivered():
     m = run_scenario(broadcast_cfg()).metrics
     assert m.undelivered_at_end == 0
     assert m.sends_by_kind["INS_MSG"] == 2 * 3 * m.messages_total
-    # GMD_ONLY repairs no loss, so dropped copies leave deliveries missing
+    # GMD_ONLY sends one copy, and gap repair replaces what the network drops
     lossy = run_scenario(broadcast_cfg(
         mode="GMD_ONLY",
         network={"delay": {"family": "fixed", "value_us": 2000},
                  "drop_prob": 0.01})).metrics
-    assert lossy.undelivered_at_end > 0
+    assert lossy.undelivered_at_end == 0
+    assert lossy.order_violations == 0
+    assert lossy.sends_by_kind["INS_MSG"] == 3 * lossy.messages_total
     assert (lossy.undelivered_at_end
             == 4 * lossy.messages_total - lossy.delivered_total)
     tx = run_scenario(tx_cfg()).metrics

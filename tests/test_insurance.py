@@ -3,6 +3,7 @@ from hybridcast.gmd import msg_id_str
 from hybridcast.insurance import (
     DEADLINE_PATH,
     GMD_PATH,
+    InsuranceMessage,
     MODE_GMD_ONLY,
     MODE_HYBRID,
     MODE_ON_SUSPICION,
@@ -73,7 +74,7 @@ def test_gmd_only_blocks_on_sender_crash():
     eng, nodes = build_cluster(n=4, mode=MODE_GMD_ONLY)
     eng.schedule_crash(0, 1)
     eng.run_until(10)
-    mid = nodes[1].broadcast_gmd("stuck: the dead member can never ack")
+    mid = nodes[1].broadcast("stuck: the dead member can never ack")
     eng.run_until(30_000_000)
     for i in (1, 2, 3):
         assert delivered(nodes[i]) == []
@@ -201,23 +202,30 @@ def test_retransmission_fills_gap_from_ack_evidence():
     assert any(True for _ in eng.trace.of_kind("RETX_REQ"))
 
 
+def hold(node, sender, seq, ts):
+    """Put (sender, seq) in the node's store, as an arrival does."""
+    node.store[(sender, seq)] = InsuranceMessage((sender, seq), ts, 0, 1)
+    node._note_seq(sender, seq, sender)
+
+
 def test_known_gap_blocks_delivery_of_later_timestamps():
     eng, nodes = build_cluster(n=3)
     node = nodes[2]
     # evidence of sender 0's seq 0 and 1 while only seq 1 arrived
-    node._note_seq(0, 1, 5000, 0)
+    hold(node, 0, 1, 5000)
     assert node.gaps[0] == {0}
     assert node._gap_blocks(6000)  # the hole may hide any smaller timestamp
-    node._note_seq(0, 0, 4000, 0)
+    hold(node, 0, 0, 4000)
     assert not node.gaps[0]
+    assert node.contig[0] == 1
     assert not node._gap_blocks(6000)
 
 
 def test_gap_with_known_lower_bound_does_not_block_smaller_ts():
     eng, nodes = build_cluster(n=3)
     node = nodes[2]
-    node._note_seq(0, 0, 4000, 0)
-    node._note_seq(0, 2, 9000, 0)  # seq 1 missing, its ts must exceed 4000
+    hold(node, 0, 0, 4000)
+    hold(node, 0, 2, 9000)  # seq 1 missing, its ts must exceed 4000
     assert node._gap_blocks(5000)
     assert not node._gap_blocks(4000)  # nothing below the bound is hidden
 

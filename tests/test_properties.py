@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hybridcast.config import config_from_dict
 from hybridcast.delays import DelayBoundConfig, DelayDistribution, compute_D
-from hybridcast.gmd import GmdAck, GmdMessage, GmdNodeState
+from hybridcast.gmd import GmdMessage, GmdNodeState
 from hybridcast.harness import run_scenario
 from hybridcast.insurance import InsuranceNode, ProtocolParams
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
@@ -123,7 +123,7 @@ def test_delivered_prefix_respects_promises(evts):
         if with_acks:
             for peer in members:
                 if peer != sender and peer != 0:
-                    node.on_ack(GmdAck(peer, mid, ts + peer + 1))
+                    node.on_ack(peer, ts + peer + 1, {sender: seq})
         delivered_ts = [node.delivered_ts[m] for m in node.delivered]
         assert delivered_ts == sorted(delivered_ts)
         for m in node.delivered:
