@@ -4,8 +4,15 @@ Every broadcast carries a per-sender sequence number, and every ack is
 one record: the acker, its promise timestamp and its seen-vector, the
 per-sender contiguous sequence watermarks of what it holds.  The GMD
 core delivers from each member's newest vector, and receivers use the
-same vectors to detect gaps and request retransmissions.  In GMD_ONLY
-mode that is all: one copy, no relay, no deadline.
+same vectors, and the seqs of arriving copies, to detect gaps, which
+block both delivery paths until filled.  Links are FIFO, so a gap that
+the sender's own link shows (a copy straight from the sender with a
+higher seq, or the sender's own vector) is lost, and its retransmission
+is requested at once.  A gap known only from a third party's vector or
+from a relayed copy may be a copy still in flight: its request waits one
+arrival window, the node's one-way delay estimate, goes out at once if
+proof comes first, and is dropped if the copy lands.  In GMD_ONLY mode
+that is all: one copy, no relay, no deadline.
 
 In the hybrid modes every broadcast goes out as two redundant copies
 separated by eta, and a receiver that saw only one copy re-broadcasts
@@ -102,6 +109,8 @@ class InsuranceNode:
         self.last_heard: dict[int, int] = {}
         self.out_acks: list = []
         self._timers: dict = {}
+        # (sender, seq) -> next retry target's index; a hole enters it when
+        # its first request goes out
         self._retx_round: dict[tuple, int] = {}
         self._relay_ranks: dict[int, int] = {}  # sender -> rank; per view
 
@@ -234,7 +243,7 @@ class InsuranceNode:
         elif tag == "deadline":
             self._on_deadline_timer(key[1])
         elif tag == "retx":
-            self._retry_retx(key[1], key[2])
+            self._retry_retx(key[1], key[2], data)
         elif tag == "ackflush":
             self._flush_acks()
         elif tag == "hb":
@@ -304,9 +313,12 @@ class InsuranceNode:
             c = self.contig.get(sender, -1)
             if watermark <= c:
                 continue
+            # the sender's own vector came over its FIFO link behind every
+            # copy it counts, so those copies are lost, not in flight
+            proven = ack.acker == sender
             for q in range(c + 1, watermark + 1):
                 if (sender, q) not in self.store:
-                    self._open_gap(sender, q, frm)
+                    self._open_gap(sender, q, frm, proven)
 
     # -- sequence bookkeeping ----------------------------------------------
 
@@ -325,21 +337,36 @@ class InsuranceNode:
                 c += 1
             self.contig[sender] = c
         elif seq > c + 1:
+            # FIFO links: a copy straight from the sender proves these lost
             for q in range(c + 1, seq):
                 if (sender, q) not in store:
-                    self._open_gap(sender, q, via)
+                    self._open_gap(sender, q, via, via == sender)
 
-    def _open_gap(self, sender: int, seq: int, target: int):
+    def _open_gap(self, sender: int, seq: int, target: int, proven: bool):
+        """Record a hole and ask ``target`` for it.
+
+        A hole ``proven`` lost by evidence from the sender's own link is
+        requested at once.  Any other evidence (a third party's vector, a
+        relayed copy) may have outrun the copy still in flight, so the
+        request waits one arrival window, ``current_d()``; a proof that
+        comes during the wait sends it at once, and the copy's arrival
+        cancels it.  The hole blocks delivery either way.
+        """
         gap_set = self.gaps.setdefault(sender, set())
-        if seq in gap_set:
-            return
-        gap_set.add(seq)
-        self._open_gaps += 1
+        if seq not in gap_set:
+            gap_set.add(seq)
+            self._open_gaps += 1
+            if not proven:
+                self._set_timer(("retx", sender, seq), self.current_d(), target)
+                return
+        elif not proven or (sender, seq) in self._retx_round:
+            return  # still waiting without proof, or already requested
         self._send_retx(sender, seq, target)
 
     def _send_retx(self, sender: int, seq: int, target: int):
         if target == self.node_id:
             target = self._next_retx_target(sender, seq)
+        self._retx_round.setdefault((sender, seq), 0)
         self.engine.send(self.node_id, target, "RETX_REQ",
                          msg_id_str((sender, seq)), (sender, (seq,)),
                          {"frm": self.node_id})
@@ -351,9 +378,12 @@ class InsuranceNode:
         self._retx_round[(sender, seq)] = idx + 1
         return others[idx % len(others)]
 
-    def _retry_retx(self, sender: int, seq: int):
+    def _retry_retx(self, sender: int, seq: int, target):
+        """A waiting request goes to ``target``; a retry after theta rotates."""
         if seq in self.gaps.get(sender, set()):
-            self._send_retx(sender, seq, self._next_retx_target(sender, seq))
+            if target is None:
+                target = self._next_retx_target(sender, seq)
+            self._send_retx(sender, seq, target)
 
     def _on_retx_req(self, frm: int, payload):
         sender, seqs = payload

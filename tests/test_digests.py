@@ -2,10 +2,18 @@
 
 A fixed seed and config give byte-identical output, so these digests
 prove that a refactor leaves behaviour unchanged.  A change that alters
-a digest on purpose updates it here and says why in CHANGES.md.
+a digest on purpose updates it here and says why in CHANGES.md.  Run this
+file as a script (``python tests/test_digests.py``) to print the
+``DIGESTS`` dict of the code as it stands, to re-pin from.
 """
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+if __name__ == "__main__":  # a script run from a checkout imports src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
 
@@ -57,14 +65,14 @@ SCENARIOS = {
 
 DIGESTS = {  # name -> (trace.csv, metrics.json)
     "hybrid": (
-        "505659bcbac3a1471330aa006b4e6d0beda1a91dbe6098b83916a6073ee17bb9",
-        "fde592fdea231bffc462e634783f9fc4441cd64f70076c7ab159edfd203557a5"),
+        "e611f47d1f5c9f8f28ee93aa16d6347b31651a5b5bf7c9179cacda2146c8014c",
+        "658faa31eb5ce91913127fac4a16bc7dda6b6dedc1868be8de483f3844559762"),
     "hybrid-crash-lossy": (
-        "019b7aaf7b2f7121c1eede3a4acb3f3e8ab6d26dd5fdf9ef25f6f8643a9f6365",
-        "8881043d44011e7d784ea8d92dab1f077fbebb8045c566f7f403cba3c19f9d22"),
+        "233c6e0b02ff21cf4b61f34de256497c0821465e3dace226f6dbfe44ce1e0101",
+        "9e62b1beed4d0caabb625485d0a1fa638814c0b2e3c6e8ccd7ac11c8b0b5da58"),
     "gmd-only": (
-        "8c8d7ee1c106a62152490b3f84c6238821966145fa05e013abfeea05998dfef7",
-        "40928c8f18eec04291a7e47dad28127155ca5900afe149ab4d7be52a068d28e1"),
+        "464804f6a0657fd80402f88676517d7b94d0ea34d8e1180b669f652db3b695ff",
+        "b4041e5e1e4a81bc893739905bf8d8258d43e55eba78b77a82237e46db23de65"),
     "service-takeover": (
         "5f09303fbc0a6d814ce892773d749d2dc90028fa13fd2e10de42140bc26a78f4",
         "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),
@@ -75,8 +83,21 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def output_digests(name, out_dir) -> tuple:
+    """Run scenario ``name`` into ``out_dir``; (trace.csv, metrics.json)."""
+    run_scenario(config_from_dict(SCENARIOS[name])).write(out_dir)
+    return (_sha256(out_dir / "trace.csv"), _sha256(out_dir / "metrics.json"))
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_output_digests(name, tmp_path):
-    run_scenario(config_from_dict(SCENARIOS[name])).write(tmp_path)
-    got = (_sha256(tmp_path / "trace.csv"), _sha256(tmp_path / "metrics.json"))
-    assert got == DIGESTS[name]
+    assert output_digests(name, tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {  # name -> (trace.csv, metrics.json)")
+    for name in SCENARIOS:
+        with tempfile.TemporaryDirectory() as tmp:
+            trace, metrics = output_digests(name, Path(tmp))
+        print(f'    "{name}": (\n        "{trace}",\n        "{metrics}"),')
+    print("}")

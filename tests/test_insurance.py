@@ -1,3 +1,5 @@
+import pytest
+
 from hybridcast.delays import compute_D
 from hybridcast.gmd import msg_id_str
 from hybridcast.insurance import (
@@ -185,21 +187,114 @@ def test_second_copy_inside_window_cancels_relay():
         assert delivered(node) == [mid]
 
 
-def test_retransmission_fills_gap_from_ack_evidence():
-    # both copies to node 3 are lost; it learns of the message from acks
-    eng, nodes = build_cluster(n=4, theta_us=1000)
-    original_send = eng.send
+def lose_copies(eng, to, seqs=None, copies=(1, 2)):
+    """Lose node 0's own copies to ``to`` (of ``seqs``, or of every seq).
 
-    def lossy_send(frm, to, kind, msg_id, payload, detail=""):
-        if kind in ("INS_MSG",) and to == 3:
-            return  # silently lose every direct copy to node 3
-        original_send(frm, to, kind, msg_id, payload, detail)
+    Returns (time, frm, to, kind, msg_id) of every send attempted.
+    """
+    sent = []
+    send = eng.send
+
+    def lossy_send(frm, dest, kind, msg_id, payload, *rest):
+        sent.append((eng.now, frm, dest, kind, msg_id))
+        if (kind == "INS_MSG" and frm == 0 and dest == to
+                and payload.copy_index in copies
+                and (seqs is None or payload.msg_id[1] in seqs)):
+            return
+        send(frm, dest, kind, msg_id, payload, *rest)
 
     eng.send = lossy_send
+    return sent
+
+
+def first_requests(sent, frm):
+    """msg_id -> (time, target) of the first RETX_REQ ``frm`` sent for it."""
+    first = {}
+    for t, src, to, kind, msg_id in sent:
+        if kind == "RETX_REQ" and src == frm:
+            first.setdefault(msg_id, (t, to))
+    return first
+
+
+@pytest.mark.parametrize("mode", [MODE_HYBRID, MODE_GMD_ONLY])
+def test_retransmission_fills_gap_from_ack_evidence(mode):
+    # both copies to node 3 are lost and the sender dies right after its
+    # send; node 3 learns of the message from the survivors' acks, and in
+    # GMD_ONLY its deferred request is the only repair (there is no relay)
+    eng, nodes = build_cluster(n=4, mode=mode, theta_us=1000)
+    sent = lose_copies(eng, to=3)
     mid = nodes[0].broadcast("lossy")
+    eng.schedule_crash(0, 1)
     eng.run_until(5_000_000)
+    assert mid in nodes[3].store
+    assert first_requests(sent, 3)
+    for i in (1, 2, 3):
+        nodes[i].on_new_view(0)
     assert delivered(nodes[3]) == [mid]
-    assert any(True for _ in eng.trace.of_kind("RETX_REQ"))
+
+
+# With 1 ms links node 1 acks node 0's seq 0 at 1000, and that ack, the
+# first evidence node 2 has of the message, lands at 2000.
+THIRD_PARTY_ACK_AT = 2000
+
+
+def test_hole_seen_in_a_third_party_vector_waits_one_window():
+    eng, nodes = build_cluster(n=3)
+    sent = lose_copies(eng, to=2)
+    nodes[0].broadcast("lost to node 2")
+    eng.run_until(THIRD_PARTY_ACK_AT)
+    node = nodes[2]
+    window = node.current_d()
+    assert node.gaps[0] == {0}
+    assert node._gap_blocks(node.clock() + 1_000_000)  # blocks as before
+    eng.run_until(THIRD_PARTY_ACK_AT + window - 1)
+    assert node.gaps[0] == {0}
+    assert first_requests(sent, 2) == {}
+
+
+def test_copy_arriving_inside_the_window_cancels_the_request():
+    eng, nodes = build_cluster(n=3, eta_us=2000)
+    sent = lose_copies(eng, to=2, copies=(1,))  # copy 2 lands at 3000
+    mid = nodes[0].broadcast("copy 2 gets through")
+    eng.run_until(1_000_000)
+    assert THIRD_PARTY_ACK_AT < 3000 < THIRD_PARTY_ACK_AT + nodes[2].current_d()
+    assert first_requests(sent, 2) == {}
+    assert delivered(nodes[2]) == [mid]
+
+
+def test_hole_open_after_the_window_is_requested_once_from_its_witness():
+    # theta exceeds the round trip, so the reply lands before any retry
+    eng, nodes = build_cluster(n=3, theta_us=3000)
+    sent = lose_copies(eng, to=2)
+    mid = nodes[0].broadcast("lost to node 2")
+    eng.run_until(1_000_000)
+    window = nodes[2].current_d()
+    requests = [s for s in sent if s[3] == "RETX_REQ" and s[1] == 2]
+    assert [(t, to) for t, _, to, _, _ in requests] == [
+        (THIRD_PARTY_ACK_AT + window, 1)]  # node 1's vector showed it
+    assert delivered(nodes[2]) == [mid]
+
+
+@pytest.mark.parametrize("proof", ["direct copy", "sender's ack"])
+def test_proof_from_the_senders_link_requests_at_once(proof):
+    eng, nodes = build_cluster(n=3)
+    sent = lose_copies(eng, to=2, seqs=(0, 1))
+    nodes[0].broadcast("seq 0, lost to node 2")
+    eng.run_until(500)
+    if proof == "sender's ack":
+        # lands at node 0 at 1500, after seq 1; node 0's ack lands at 2500
+        nodes[1].broadcast("prompts an ack from the sender")
+    eng.run_until(1000)
+    nodes[0].broadcast("seq 1, lost to node 2")  # node 1's ack lands at 3000
+    eng.run_until(1500)
+    if proof == "direct copy":
+        nodes[0].broadcast("seq 2, lands at node 2 at 2500")
+    eng.run_until(1_000_000)
+    # seq 0 has waited since 2000 for its window, seq 1 is a fresh hole;
+    # both are requested from the sender when the proof lands
+    assert 2500 < THIRD_PARTY_ACK_AT + nodes[2].current_d()
+    assert first_requests(sent, 2) == {"0:0": (2500, 0), "0:1": (2500, 0)}
+    assert len(delivered(nodes[2])) == 3
 
 
 def hold(node, sender, seq, ts):

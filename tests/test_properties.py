@@ -1,3 +1,4 @@
+import heapq
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -90,45 +91,73 @@ def test_deadline_bound_monotone_in_every_input(d, bump, eta, theta, margin):
 
 # -- promise invariant ---------------------------------------------------------
 
-events = st.lists(
+steps = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=3),   # sender
-        st.integers(min_value=0, max_value=5),   # seq
-        st.integers(min_value=1, max_value=500),  # ts basis
-        st.booleans(),                            # also feed acks from peers
+        st.integers(min_value=0, max_value=3),  # the member that acts
+        st.booleans(),                          # it broadcasts, or else acks
+        st.integers(min_value=0, max_value=3),  # how far its ts or promise moves
+        st.integers(min_value=0, max_value=3),  # its link delay, in steps
     ),
-    min_size=1, max_size=30,
+    min_size=10, max_size=40,
 )
 
 
 @BATTERY
-@given(events)
-def test_delivered_prefix_respects_promises(evts):
-    """Whatever arrives in whatever order, a node only delivers a message
-    once every member acked it and promised to stay above its timestamp,
-    and the delivered sequence is sorted by (ts, sender)."""
+@given(steps)
+def test_delivered_prefix_respects_promises(steps):
+    """Members 1-3 broadcast and ack over FIFO links to node 0, and stamp
+    each broadcast above every timestamp and promise they sent before.  An
+    ack covers everything sent so far, and its promise need not exceed
+    those timestamps: the core's only premise is that the member's later
+    broadcasts exceed it.  Whatever the interleaving, node 0 delivers a
+    message only once every member acked it and promised to stay above its
+    timestamp, the delivered sequence is sorted by timestamp, and no later
+    arrival undercuts it."""
     members = [0, 1, 2, 3]
     node = GmdNodeState(0, members)
-    seen_mid = set()
-    for sender, seq, ts_base, with_acks in evts:
-        mid = (sender, seq)
-        if mid in seen_mid:
-            continue
-        seen_mid.add(mid)
-        ts = ts_base * 4 + sender  # unique, sender-tagged timestamps
-        if sender == 0:
-            node.add_own(GmdMessage(mid, node.assign_timestamp(ts)))
+    promised = {m: 0 for m in members}  # each member's largest ts sent
+    sent = {m: [] for m in members}  # each sender's broadcast ts, by seq
+    in_flight = []  # heap of (arrival step, send order, member, item)
+    link_free = {m: 0 for m in members}  # arrival step of a link's last item
+
+    def arrive(m, item):
+        if item[0] == "msg":
+            _, seq, ts = item
+            assert all(ts > node.delivered_ts[d] for d in node.delivered)
+            node.on_receive(GmdMessage((m, seq), ts), 0)
         else:
-            node.on_receive(GmdMessage(mid, ts), ts)
-        if with_acks:
-            for peer in members:
-                if peer != sender and peer != 0:
-                    node.on_ack(peer, ts + peer + 1, {sender: seq})
-        delivered_ts = [node.delivered_ts[m] for m in node.delivered]
+            node.on_ack(m, item[1], item[2])
+        node.try_deliver()
+        delivered_ts = [node.delivered_ts[d] for d in node.delivered]
         assert delivered_ts == sorted(delivered_ts)
-        for m in node.delivered:
-            assert all(node.promise[p] > node.delivered_ts[m]
-                       for p in members if p != m[0])
+        for d in node.delivered:
+            assert all(node.promise[p] > node.delivered_ts[d]
+                       for p in members if p != d[0])
+            assert all(node.acks[p][1].get(d[0], -1) >= d[1]
+                       for p in members if p not in (0, d[0]))
+
+    for now, (m, bcast, k, delay) in enumerate(steps):
+        while in_flight and in_flight[0][0] <= now:
+            arrive(*heapq.heappop(in_flight)[2:])
+        if m == 0:
+            if bcast:
+                ts = node.assign_timestamp(k)
+                node.add_own(GmdMessage((0, len(sent[0])), ts))
+                sent[0].append(ts)
+            continue
+        if bcast:
+            promised[m] += 1 + k
+            item = ("msg", len(sent[m]), promised[m])
+            sent[m].append(promised[m])
+        else:
+            top = max((ts for s in members for ts in sent[s]), default=0)
+            promised[m] = max(promised[m], top + k)
+            item = ("ack", promised[m],
+                    {s: len(sent[s]) - 1 for s in members if sent[s]})
+        link_free[m] = max(now + delay, link_free[m])  # FIFO per link
+        heapq.heappush(in_flight, (link_free[m], now, m, item))
+    while in_flight:
+        arrive(*heapq.heappop(in_flight)[2:])
     for mid in node.delivered:
         assert mid not in node.pending
 
