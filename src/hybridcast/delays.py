@@ -22,17 +22,10 @@ early as for one that took the full d, so D is unchanged.
 from __future__ import annotations
 
 import bisect
-from collections import deque
+from array import array
 from dataclasses import dataclass
 
 from .errors import EmptyWindowError, NonPositiveDelayError
-
-
-@dataclass(frozen=True)
-class DelaySample:
-    from_node: int
-    to_node: int
-    observed_delay_us: int
 
 
 @dataclass(frozen=True)
@@ -49,14 +42,22 @@ class DelayBoundConfig:
 
 
 class DelayDistribution:
-    """Bounded FIFO window of observed delays with an exact sorted mirror."""
+    """Bounded FIFO window of observed delays with an exact sorted mirror.
+
+    Both are ``array('q')`` buffers of unboxed 8-byte ints, so a sample
+    costs 16 bytes, not a deque slot, a list slot and an int object.  The
+    FIFO grows until it holds ``window_size`` samples and is a ring from
+    then on: ``_head`` indexes the oldest sample, which the next one
+    overwrites.
+    """
 
     def __init__(self, window_size: int = 10_000):
         if window_size <= 0:
             raise ValueError("window_size must be positive")
         self.window_size = window_size
-        self._fifo: deque[int] = deque()
-        self._sorted: list[int] = []
+        self._fifo = array("q")
+        self._head = 0
+        self._sorted = array("q")
 
     def __len__(self):
         return len(self._fifo)
@@ -64,15 +65,21 @@ class DelayDistribution:
     def observe(self, delay_us: int):
         if delay_us <= 0:
             raise NonPositiveDelayError(f"delay {delay_us}us is not positive")
-        if len(self._fifo) == self.window_size:
-            oldest = self._fifo.popleft()
-            idx = bisect.bisect_left(self._sorted, oldest)
-            del self._sorted[idx]
-        self._fifo.append(delay_us)
-        bisect.insort(self._sorted, delay_us)
+        fifo, ordered = self._fifo, self._sorted
+        if len(fifo) < self.window_size:
+            fifo.append(delay_us)
+        else:
+            head = self._head
+            del ordered[bisect.bisect_left(ordered, fifo[head])]
+            fifo[head] = delay_us
+            head += 1
+            self._head = 0 if head == self.window_size else head
+        bisect.insort(ordered, delay_us)
 
     def window(self) -> list[int]:
-        return list(self._fifo)
+        """The samples in the window, oldest first."""
+        head = self._head
+        return self._fifo[head:].tolist() + self._fifo[:head].tolist()
 
     def quantile(self, q: float) -> int:
         """Nearest-rank quantile: 1-based index ceil(q*n) of the sorted window."""

@@ -42,7 +42,9 @@ class GmdNodeState:
         self.membership = set(membership)
         self.hybrid_clock = 0
         self.pending: dict[MsgId, int] = {}  # msg_id -> ts
-        self.delivered: list[MsgId] = []
+        self.delivered: list[MsgId] = []  # every delivery, in order
+        # msg_id -> ts of a delivered message; insurance.py's stability GC
+        # drops the entries of messages that every member holds
         self.delivered_ts: dict[MsgId, int] = {}
         # largest timestamp seen from each member: the promise watermark
         self.promise: dict[int, int] = {m: 0 for m in self.membership}
@@ -77,7 +79,8 @@ class GmdNodeState:
 
     def on_receive(self, msg: GmdMessage, clock_reading: int) -> Optional[int]:
         """Admit a foreign broadcast; returns the promise for its ack, None
-        if duplicate."""
+        if duplicate.  A message whose ``delivered_ts`` entry was dropped
+        is no longer known here: the caller screens it out."""
         if self.known(msg.msg_id):
             return None
         self._admit(msg)

@@ -90,12 +90,18 @@ def blocked_interval(deliveries_by_node: dict, crash_at: int,
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     if cfg.workload.kind == "transactions":
-        return _run_transactions(cfg)
-    return _run_broadcast(cfg)
+        rt, run = OrderingRuntime(cfg), _run_transactions
+    else:
+        rt, run = AbcastRuntime(cfg), _run_broadcast
+    try:
+        return run(cfg, rt)
+    finally:
+        # a finished run frees itself by reference counting once dropped
+        rt.engine.trace.on_record = None
+        rt.release()
 
 
-def _run_broadcast(cfg: ScenarioConfig) -> RunResult:
-    rt = AbcastRuntime(cfg)
+def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:
     cases = CaseIndex()
     rt.engine.trace.on_record = cases.add
     events = rt.engine.run_until(cfg.duration_us)
@@ -125,8 +131,7 @@ def _run_broadcast(cfg: ScenarioConfig) -> RunResult:
     return RunResult(cfg, metrics, rt.engine.trace, rt.delivered_orders())
 
 
-def _run_transactions(cfg: ScenarioConfig) -> RunResult:
-    rt = OrderingRuntime(cfg)
+def _run_transactions(cfg: ScenarioConfig, rt: OrderingRuntime) -> RunResult:
     executed = OrderIndex("EXEC")
     rt.engine.trace.on_record = executed.add
     events = rt.engine.run_until(cfg.duration_us)

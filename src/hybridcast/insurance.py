@@ -27,6 +27,18 @@ either by the GMD all-ack rules or once the local clock passes its
 timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
 earlier-timestamped message.
+
+Per message a node keeps its ``store`` entry (the arriving
+``InsuranceMessage`` itself, shared by every receiver, unless acks rode
+on it), a bitmask in ``arrival_forms`` of the forms its copies arrived
+in, and its timestamp in ``gmd.delivered_ts`` once delivered.  Stability
+GC (Birman, Schiper and Stephenson, TOCS 1991) drops all three once the
+node has delivered the message, its seq is below the sender's
+contiguous watermark, every member's newest vector covers it (the
+sender's need not: it holds its own) and no timer will still send it;
+see ``_collect``.  A copy that arrives
+later is a duplicate, since its seq is below the sender's collection
+floor.  Only the id stays, in ``gmd.delivered``.
 """
 
 from __future__ import annotations
@@ -99,8 +111,12 @@ class InsuranceNode:
         self.on_deliver = on_deliver
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
-        self.arrival_forms: dict[tuple, set] = {}
+        # (sender, seq) -> bitmask of the forms its copies arrived in
+        self.arrival_forms: dict[tuple, int] = {}
         self.contig: dict[int, int] = {}
+        # sender -> lowest seq not yet collected; every seq below it was
+        # delivered here and is held by every member
+        self._floor: dict[int, int] = {}
         self.gaps: dict[int, set] = {}
         self._open_gaps = 0  # total size of the sets in gaps
         self.deadlines: dict[tuple, int] = {}
@@ -272,10 +288,15 @@ class InsuranceNode:
         if msg.relayed_by is not None and msg.relayed_by != self.node_id:
             # someone else is already relaying: suppress our own relay
             self._cancel(("second", mid))
-        forms = self.arrival_forms.setdefault(mid, set())
-        form = (msg.copy_index, msg.relayed_by is not None)
-        if mid not in self.store:
-            self.store[mid] = replace(msg, piggy_acks=())
+        # one bit per (copy 1 or 2, straight or relayed)
+        form = 1 << (2 * msg.copy_index - 2 + (msg.relayed_by is not None))
+        if mid[1] < self._floor.get(mid[0], 0):
+            pass  # collected: every member holds it, so this is a duplicate
+        elif mid not in self.store:
+            # receivers share the sender's message unless acks rode on it
+            self.store[mid] = (replace(msg, piggy_acks=()) if msg.piggy_acks
+                               else msg)
+            self.arrival_forms[mid] = form
             self._note_seq(mid[0], mid[1], frm)
             promise = self.gmd.on_receive(GmdMessage(mid, msg.ts, msg.payload),
                                           self.clock())
@@ -292,10 +313,12 @@ class InsuranceNode:
                 self._arm_deadline(mid, msg.ts, msg.d_i)
             self._send_ack(InsuranceAck(self.node_id, mid, promise,
                                         dict(self.contig)))
-        elif forms and form not in forms:
-            # the other copy (or a relay) arrived: sender is not stuck
-            self._cancel(("second", mid))
-        forms.add(form)
+        else:
+            forms = self.arrival_forms.get(mid, 0)
+            if forms and not forms & form:
+                # the other copy (or a relay) arrived: sender is not stuck
+                self._cancel(("second", mid))
+            self.arrival_forms[mid] = forms | form
         self._try_deliver()
 
     def _on_acks(self, frm: int, acks):
@@ -402,7 +425,8 @@ class InsuranceNode:
 
     def _relay(self, mid: tuple):
         held = self.store.get(mid)
-        if held is None or len(self.arrival_forms.get(mid, ())) >= 2:
+        forms = self.arrival_forms.get(mid, 0)
+        if held is None or forms & (forms - 1):  # two forms or more arrived
             return
         self._send_copy(replace(held, copy_index=1, relayed_by=self.node_id,
                                 sent_ts=self.clock(), piggy_acks=()))
@@ -481,7 +505,48 @@ class InsuranceNode:
                               msg_id_str(mid), fields)
         if self.on_deliver is not None:
             self.on_deliver(self.node_id, mid, ts, path, self.engine.now)
+        self._collect(mid[0])
         return mid
+
+    def _collect(self, sender: int):
+        """Stability GC: drop ``sender``'s messages that every member holds.
+
+        A message goes from ``store``, ``arrival_forms`` and
+        ``gmd.delivered_ts`` once this node has delivered it, its seq is
+        below ``contig[sender]`` (``_gap_blocks`` reads the ts below a
+        hole from the entry at ``contig``), the newest vector of every
+        current member but the sender (which holds its own messages)
+        covers it, and no ``copy2``, ``second`` or ``relay2`` timer will
+        still send it.  Collection runs up from ``_floor[sender]`` and
+        stops at the first message that fails.  A member asks for a
+        retransmission only before it holds the message, and its request
+        travels the same FIFO link ahead of the vector that covers it, so
+        no request can reach a collected message.
+        """
+        limit = self.contig.get(sender, -1) - 1
+        acks = self.gmd.acks
+        for member in self.membership:
+            if member != self.node_id and member != sender:
+                ack = acks.get(member)
+                if ack is None:
+                    return
+                mark = ack[1].get(sender, -1)
+                if mark < limit:
+                    limit = mark
+        q = self._floor.get(sender, 0)
+        store, forms, timers = self.store, self.arrival_forms, self._timers
+        delivered_ts = self.gmd.delivered_ts
+        while q <= limit:
+            mid = (sender, q)
+            if (mid not in delivered_ts or ("copy2", mid) in timers
+                    or ("second", mid) in timers
+                    or ("relay2", mid) in timers):
+                break
+            del store[mid]
+            forms.pop(mid, None)
+            del delivered_ts[mid]
+            q += 1
+        self._floor[sender] = q
 
     # -- mode control ------------------------------------------------------
 
@@ -515,6 +580,8 @@ class InsuranceNode:
         self.engine.trace.add(self.engine.now, self.node_id, "NEW_VIEW",
                               "", {"removed": crashed})
         self._try_deliver()
+        for sender in self.contig:
+            self._collect(sender)  # the removed member's vector held it back
 
     def _check_heartbeats(self):
         now = self.engine.now

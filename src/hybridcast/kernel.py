@@ -13,7 +13,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .errors import CrashedNodeError, SyncFailedError
 from .trace import NO_FIELDS, Trace, detail_text
@@ -84,13 +84,6 @@ class NodeClock:
         return true_now_us + self.offset_us + (elapsed * self.drift_ppm) // 1_000_000
 
 
-class SimEvent(NamedTuple):
-    fire_time: int
-    target: int
-    kind: str  # MessageArrival | TimerFire | Crash
-    payload: object
-
-
 def _mix(seed: int, salt: int) -> int:
     # splitmix64-style scramble so sub-streams are decorrelated
     z = (seed + salt * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -137,6 +130,14 @@ class Engine:
             self._on_message[node_id] = on_message
         if on_timer is not None:
             self._on_timer[node_id] = on_timer
+
+    def release(self):
+        """Drop every node's handlers.  They refer back, through the nodes
+        and the runtime, to this engine; without them a finished run is
+        freed by reference counting once it is dropped.  Events still
+        queued do nothing after this."""
+        self._on_message.clear()
+        self._on_timer.clear()
 
     def is_crashed(self, node_id: int) -> bool:
         return node_id in self.crashed

@@ -118,10 +118,11 @@ class CaseIndex:
     def __init__(self, trace: Optional[Trace] = None):
         self.messages: dict[str, tuple] = {}  # msg_id -> (sender, ts)
         self.crashed: dict[int, int] = {}
-        self.deliveries: dict[tuple, str] = {}  # (msg_id, node) -> path
+        self.deliveries: dict[int, dict] = {}  # node -> msg_id -> path
+        self.path_counts: dict[str, int] = {}  # path -> pairs delivered by it
         self.delivered = OrderIndex("DELIVER")
-        # knowledge via direct copies
-        self._direct: dict[tuple, int] = {}  # (msg_id, node) -> first time
+        # knowledge via direct copies: node -> msg_id -> first time
+        self._direct: dict[int, dict] = {}
         # knowledge via seen-vectors: per (node, sender) a running-max timeline
         self._seen_times: dict[tuple, list] = {}
         self._seen_marks: dict[tuple, list] = {}
@@ -134,13 +135,13 @@ class CaseIndex:
 
     def add(self, t: int, node: int, kind: str, msg_id: str, fields):
         self.nodes.add(node)
-        if kind == "BCAST":
-            self.messages[msg_id] = (node, fields["ts"])
-            self._direct.setdefault((msg_id, node), t)
-        elif kind in _KNOWLEDGE_KINDS:
-            key = (msg_id, node)
-            if key not in self._direct:
-                self._direct[key] = t
+        if kind == "BCAST" or kind in _KNOWLEDGE_KINDS:
+            if kind == "BCAST":
+                self.messages[msg_id] = (node, fields["ts"])
+            direct = self._direct.get(node)
+            if direct is None:
+                direct = self._direct[node] = {}
+            direct.setdefault(msg_id, t)
         elif kind == "INS_ACK":
             seen = fields.get("seen")
             for sender, mark in seen.items() if seen else ():
@@ -152,7 +153,15 @@ class CaseIndex:
                 marks.append(mark)
         elif kind == "DELIVER":
             path = fields.get("path", "")
-            self.deliveries[(msg_id, node)] = path
+            paths = self.deliveries.get(node)
+            if paths is None:
+                paths = self.deliveries[node] = {}
+            counts = self.path_counts
+            old = paths.get(msg_id)
+            if old is not None:  # a repeated delivery counts by its last path
+                counts[old] -= 1
+            paths[msg_id] = path
+            counts[path] = counts.get(path, 0) + 1
             self.delivered.add(t, node, kind, msg_id, fields)
             if path == "DEADLINE_PATH":
                 ts = fields["ts"]
@@ -167,7 +176,7 @@ class CaseIndex:
         return sorted(n for n in self.nodes if n not in self.crashed)
 
     def first_knowledge(self, msg_id: str, node: int) -> float:
-        t = self._direct.get((msg_id, node), float("inf"))
+        t = self._direct.get(node, {}).get(msg_id, float("inf"))
         sender, _ = self.messages[msg_id]
         seq = int(msg_id.split(":")[1])
         key = (node, sender)
@@ -195,7 +204,7 @@ class CaseIndex:
         known_at = self.first_knowledge(msg_id, node)
         if self.superseded_before(node, ts, known_at):
             return CASE_2
-        if self.deliveries.get((msg_id, node)) == "GMD_PATH":
+        if self.deliveries.get(node, {}).get(msg_id) == "GMD_PATH":
             return GMD_ORDERED
         return CASE_1
 
@@ -209,9 +218,6 @@ class CaseIndex:
             for node in operative:
                 counts[self.classify(msg_id, node)] += 1
         total = len(self.messages) * len(operative)
-        paths = list(self.deliveries.values())
-        gmd_path = paths.count("GMD_PATH")
-        deadline_path = paths.count("DEADLINE_PATH")
         return {
             "pairs": total,
             "gmd_ordered": counts[GMD_ORDERED],
@@ -219,8 +225,8 @@ class CaseIndex:
             "case2_count": counts[CASE_2],
             "case1_rate": counts[CASE_1] / total if total else 0.0,
             "case2_rate": counts[CASE_2] / total if total else 0.0,
-            "gmd_path_count": gmd_path,
-            "deadline_path_count": deadline_path,
+            "gmd_path_count": self.path_counts.get("GMD_PATH", 0),
+            "deadline_path_count": self.path_counts.get("DEADLINE_PATH", 0),
         }
 
 

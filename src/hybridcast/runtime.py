@@ -143,10 +143,17 @@ class AbcastRuntime:
         """(broadcast, operative node) pairs with no delivery."""
         missing = 0
         for node_id in self.engine.operative_nodes():
-            delivered = self.nodes[node_id].gmd.delivered_ts
+            delivered = set(self.nodes[node_id].gmd.delivered)
             missing += sum(1 for mid in self.bcast_times
                            if mid not in delivered)
         return missing
+
+    def release(self):
+        """Break the run's reference cycles (see ``Engine.release``); the
+        results stay readable."""
+        self.engine.release()
+        for node in self.nodes.values():
+            node.on_deliver = None
 
 
 @dataclass
@@ -491,6 +498,11 @@ class OrderingRuntime:
             self.engine.trace.add(
                 self.engine.now, new_active, "TAKEOVER", "",
                 {"resume": self.server_states[new_active].next_order_no})
+
+    def release(self):
+        """Break the run's reference cycles (see ``Engine.release``); the
+        results stay readable."""
+        self.engine.release()
 
     def rejected_requests(self) -> int:
         return sum(s.rejected for s in self.server_states.values())

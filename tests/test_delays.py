@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,27 @@ class TestDelayDistribution:
             dist.observe(v)
         assert dist.window() == [1, 2, 3]
         assert dist.quantile(1.0) == 3
+
+    def test_window_wraps_around_in_order(self):
+        dist = DelayDistribution(4)
+        for v in range(1, 12):  # 11 samples: the ring turns almost thrice
+            dist.observe(v)
+        assert dist.window() == [8, 9, 10, 11]
+        assert [dist.quantile(q) for q in (0.25, 0.5, 1.0)] == [8, 9, 11]
+
+    def test_window_costs_at_most_24_bytes_per_sample(self):
+        samples = 20_000
+        dist = DelayDistribution(samples)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(samples):
+                # a fresh int per sample, as a measured delay is
+                dist.observe(1000 + (i * 7919) % 1_000_000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 24 * samples
 
     def test_duplicate_values_survive_eviction(self):
         dist = DelayDistribution(3)

@@ -1,7 +1,10 @@
+import gc
 import json
+import weakref
 
 import pytest
 
+from hybridcast import harness
 from hybridcast.config import config_from_dict
 from hybridcast.errors import ConfigInvalidError
 from hybridcast.harness import (
@@ -140,6 +143,43 @@ def test_online_exec_order_check_matches_the_written_trace(tmp_path):
     assert result.metrics.order_violations > 0
     assert result.metrics.order_violations == len(
         check_total_order(trace, kind="EXEC"))
+
+
+def test_a_finished_run_frees_itself(monkeypatch):
+    # a crash, its view change, loss and clock resyncs (each fails, since
+    # the 2 ms links exceed the 1 ms sync bound) exercise every timer
+    broadcast = broadcast_cfg(
+        network={"delay": {"family": "fixed", "value_us": 2000},
+                 "drop_prob": 0.02},
+        clock={"sync_enabled": True, "sync_bound_us": 1000},
+        crash_schedule=[{"node": 3, "at_us": 800_000}],
+        view_install_delay_us=300_000, resync_interval_us=400_000)
+    takeover = tx_cfg(crash_schedule=[{"node": 1001, "at_us": 1_000_000}])
+    runtimes = []
+
+    def keep_weakref(cls):
+        def construct(cfg):
+            rt = cls(cfg)
+            runtimes.append(weakref.ref(rt))
+            return rt
+        return construct
+
+    for name in ("AbcastRuntime", "OrderingRuntime"):
+        monkeypatch.setattr(harness, name,
+                            keep_weakref(getattr(harness, name)))
+    for cfg in (broadcast, takeover):  # first runs fill one-time caches
+        run_scenario(cfg).trace.close()
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in (broadcast, takeover):
+            result = run_scenario(cfg)
+            result.trace.close()
+            del result
+            assert runtimes[-1]() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_crash_sets_blocked_interval():

@@ -1,5 +1,6 @@
 import pytest
 
+from hybridcast.config import config_from_dict
 from hybridcast.delays import compute_D
 from hybridcast.gmd import msg_id_str
 from hybridcast.insurance import (
@@ -13,6 +14,7 @@ from hybridcast.insurance import (
     ProtocolParams,
 )
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
+from hybridcast.runtime import AbcastRuntime
 
 
 def build_cluster(n=4, mode=MODE_HYBRID, delay_us=1000, seed=1, **params):
@@ -383,3 +385,85 @@ def test_delay_estimate_feeds_deadline_bound():
     assert node.current_d() == 4000
     # 2d + 2eta + theta with the observed fixed delay
     assert node.estimator.per_origin[0].quantile(0.9999) == 4000
+
+
+# -- stability GC -------------------------------------------------------------
+
+def broadcast_every_10ms(eng, node, count):
+    mids = []
+    for i in range(count):
+        mids.append(node.broadcast(i))
+        eng.run_until(eng.now + 10_000)
+    return mids
+
+
+def test_a_late_copy_of_a_collected_message_changes_nothing():
+    eng, nodes = build_cluster(n=3)
+    first = nodes[0].broadcast("collected")
+    held = nodes[0].store[first]
+    eng.run_until(10_000)
+    mids = [first] + broadcast_every_10ms(eng, nodes[0], 3)
+    node = nodes[2]
+    assert first not in node.store
+    assert first not in node.arrival_forms
+    assert first not in node.gmd.delivered_ts
+    acks = eng.send_counts["INS_ACK"]
+    late = InsuranceMessage(first, held.ts, held.d_i, 2, relayed_by=1,
+                            sent_ts=nodes[1].clock())
+    eng.send(1, 2, "INS_RELAY", msg_id_str(first), late,
+             {"ts": held.ts, "seq": 0, "copy": 2, "frm": 1, "relay": 1})
+    eng.run_until(1_000_000)
+    assert delivered(node) == mids  # not delivered a second time
+    assert eng.send_counts["INS_ACK"] == acks  # and not acked again
+    assert first not in node.store and first not in node.arrival_forms
+
+
+def test_retx_request_for_a_held_message_above_the_floor_is_answered():
+    # node 2 misses seq 3 and its requests are lost until 60 ms, so the
+    # others deliver seq 3 by its deadline and collect below it; seq 3
+    # itself stays, since node 2's vector does not cover it
+    eng, nodes = build_cluster(n=3)
+    sent = lose_copies(eng, to=2, seqs=(3,))
+    send = eng.send
+
+    def requests_lost_until_60ms(frm, to, kind, *rest):
+        if kind != "RETX_REQ" or eng.now >= 60_000:
+            send(frm, to, kind, *rest)
+
+    eng.send = requests_lost_until_60ms
+    mids = broadcast_every_10ms(eng, nodes[0], 6)
+    for node in (nodes[0], nodes[1]):
+        assert mids[4] in node.gmd.delivered_ts
+        assert node._floor[0] == 3 and (0, 3) in node.store
+    eng.run_until(1_000_000)
+    assert [s for s in sent if s[2:5] == (2, "INS_RELAY", "0:3")]
+    assert delivered(nodes[2]) == mids
+
+
+def test_held_messages_stay_bounded_over_a_run():
+    cfg = config_from_dict({
+        "seed": 1, "duration_us": 8_000_000, "mode": MODE_HYBRID,
+        "num_client_nodes": 5,
+        "network": {"delay": {"family": "lognormal", "median_us": 3000,
+                              "sigma": 0.5}},
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0,
+                     "stop_margin_us": 0}})
+    rt = AbcastRuntime(cfg)
+
+    def mean_held(start_us, end_us):
+        """Means over 50 ms samples of all nodes' store and delivered_ts."""
+        totals = []
+        for t in range(start_us + 50_000, end_us + 1, 50_000):
+            rt.engine.run_until(t)
+            totals.append((sum(len(n.store) for n in rt.nodes.values()),
+                           sum(len(n.gmd.delivered_ts)
+                               for n in rt.nodes.values())))
+        return [sum(column) / len(totals) for column in zip(*totals)]
+
+    rt.engine.run_until(1_000_000)
+    second_2 = mean_held(1_000_000, 2_000_000)
+    rt.engine.run_until(7_000_000)
+    second_8 = mean_held(7_000_000, 8_000_000)
+    assert rt.messages_total > 1500
+    for late, early in zip(second_8, second_2):
+        assert late <= 1.2 * early

@@ -57,14 +57,16 @@ def test_same_seed_yields_byte_equal_traces(knobs):
     q=st.floats(min_value=0.0001, max_value=1.0),
 )
 def test_quantile_matches_sorted_window_oracle(values, window, q):
+    # checked after every sample, so once the window is full every
+    # position of its ring is overwritten and read back, lap after lap
     dist = DelayDistribution(window)
-    for v in values:
+    for seen, v in enumerate(values, 1):
         dist.observe(v)
-    live = values[-window:]
-    ordered = sorted(live)
-    rank = min(max(math.ceil(q * len(ordered)), 1), len(ordered))
-    assert dist.quantile(q) == ordered[rank - 1]
-    assert dist.window() == live
+        live = values[max(0, seen - window):seen]
+        ordered = sorted(live)
+        rank = min(max(math.ceil(q * len(ordered)), 1), len(ordered))
+        assert dist.quantile(q) == ordered[rank - 1]
+        assert dist.window() == live
 
 
 # -- deadline bound monotonicity ----------------------------------------------
