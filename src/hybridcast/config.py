@@ -173,7 +173,7 @@ def validate_config(cfg: ScenarioConfig):
     if cfg.mode not in MODES:
         raise ConfigInvalidError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.ack_mode not in ("instant", "piggyback"):
-        raise ConfigInvalidError(f"ack_mode must be instant|piggyback")
+        raise ConfigInvalidError("ack_mode must be instant|piggyback")
     if not (0.0 <= cfg.network.drop_prob <= 1.0):
         raise ConfigInvalidError(
             f"network.drop_prob must be in [0,1], got {cfg.network.drop_prob}")

@@ -108,9 +108,10 @@ def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:
     metrics = RunMetrics(events_processed=events,
                          messages_total=rt.messages_total,
                          sends_by_kind=dict(rt.engine.send_counts))
-    metrics.latency_percentiles = latency_percentiles(rt.latencies)
+    metrics.latency_percentiles = latency_percentiles(cases.latencies)
     metrics.insurance_D_us = rt.max_deadline_bound()
-    metrics.undelivered_at_end = rt.undelivered_at_end()
+    metrics.undelivered_at_end = cases.undelivered(
+        rt.engine.operative_nodes())
     delivered = cases.delivered
     metrics.delivered_total = len(delivered)
     if rt.messages_total:
@@ -128,7 +129,8 @@ def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:
                     if n not in crashed}
         metrics.blocked_interval_us = blocked_interval(
             per_node, crash_at, cfg.duration_us)
-    return RunResult(cfg, metrics, rt.engine.trace, rt.delivered_orders())
+    orders = {n: delivered.ids.get(n, []) for n in rt.membership}
+    return RunResult(cfg, metrics, rt.engine.trace, orders)
 
 
 def _run_transactions(cfg: ScenarioConfig, rt: OrderingRuntime) -> RunResult:
@@ -138,12 +140,14 @@ def _run_transactions(cfg: ScenarioConfig, rt: OrderingRuntime) -> RunResult:
     metrics = RunMetrics(events_processed=events,
                          messages_total=len(rt.txs),
                          sends_by_kind=dict(rt.engine.send_counts))
-    metrics.latency_percentiles = latency_percentiles(rt.latencies)
+    done = [tx for tx in rt.txs.values() if tx.done_us >= 0]
+    metrics.latency_percentiles = latency_percentiles(
+        tx.done_us - tx.born_us for tx in done)
     metrics.messages_per_tx_mean = rt.messages_per_tx()
-    metrics.rejected_requests = rt.rejected_requests()
-    metrics.max_server_queue = rt.max_queue_len
-    metrics.delivered_total = sum(
-        1 for tx in rt.txs.values() if tx.done_us >= 0)
+    servers = rt.servers.values()
+    metrics.rejected_requests = sum(s.state.rejected for s in servers)
+    metrics.max_server_queue = max(s.max_queue for s in servers)
+    metrics.delivered_total = len(done)
     metrics.undelivered_at_end = len(rt.txs) - metrics.delivered_total
     if len(rt.engine.trace) == 0:
         raise IncompleteTraceError("empty trace")

@@ -96,8 +96,7 @@ class ProtocolParams:
 class InsuranceNode:
     """One protocol node driven by kernel arrivals and timers."""
 
-    def __init__(self, engine, node_id: int, membership, params: ProtocolParams,
-                 on_deliver=None):
+    def __init__(self, engine, node_id: int, membership, params: ProtocolParams):
         self.engine = engine
         self.node_id = node_id
         self.params = params
@@ -108,7 +107,6 @@ class InsuranceNode:
             percentile=params.percentile, eta_us=params.eta_us,
             theta_us=params.theta_us, epsilon_us=params.epsilon_us,
             safety_margin_us=params.safety_margin_us)
-        self.on_deliver = on_deliver
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
         # (sender, seq) -> bitmask of the forms its copies arrived in
@@ -503,8 +501,6 @@ class InsuranceNode:
                   "dl": deadline if path == DEADLINE_PATH else None}
         self.engine.trace.add(self.engine.now, self.node_id, "DELIVER",
                               msg_id_str(mid), fields)
-        if self.on_deliver is not None:
-            self.on_deliver(self.node_id, mid, ts, path, self.engine.now)
         self._collect(mid[0])
         return mid
 

@@ -202,11 +202,13 @@ class Engine:
 
     def sync_clock_probabilistic(self, node_id: int, reference: int,
                                  bound_us: int, max_attempts: int) -> int:
-        """Cristian-style sync: succeed when a round trip has RTT/2 <= bound."""
-        if node_id in self.crashed or reference in self.crashed:
+        """Cristian-style sync: succeed when a round trip has RTT/2 <= bound.
+        A crashed reference answers none of the attempts."""
+        if node_id in self.crashed:
             raise CrashedNodeError("sync endpoint crashed")
         clock = self.clocks[node_id]
-        for attempt in range(1, max_attempts + 1):
+        attempts = 0 if reference in self.crashed else max_attempts
+        for attempt in range(1, attempts + 1):
             d_out = self.network.sample_delay(self.rng_sync, self.now)
             d_back = self.network.sample_delay(self.rng_sync, self.now)
             half = (d_out + d_back + 1) // 2

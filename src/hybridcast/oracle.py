@@ -121,6 +121,7 @@ class CaseIndex:
         self.deliveries: dict[int, dict] = {}  # node -> msg_id -> path
         self.path_counts: dict[str, int] = {}  # path -> pairs delivered by it
         self.delivered = OrderIndex("DELIVER")
+        self.latencies: list[int] = []  # BCAST to the sender's own DELIVER
         # knowledge via direct copies: node -> msg_id -> first time
         self._direct: dict[int, dict] = {}
         # knowledge via seen-vectors: per (node, sender) a running-max timeline
@@ -163,6 +164,10 @@ class CaseIndex:
             paths[msg_id] = path
             counts[path] = counts.get(path, 0) + 1
             self.delivered.add(t, node, kind, msg_id, fields)
+            origin = self.messages.get(msg_id)
+            if origin is not None and origin[0] == node:
+                # a sender first knows its message when it broadcasts it
+                self.latencies.append(t - self._direct[node][msg_id])
             if path == "DEADLINE_PATH":
                 ts = fields["ts"]
                 tsmax = self._dl_tsmax.setdefault(node, [])
@@ -174,6 +179,11 @@ class CaseIndex:
 
     def operative_nodes(self) -> list[int]:
         return sorted(n for n in self.nodes if n not in self.crashed)
+
+    def undelivered(self, nodes) -> int:
+        """(broadcast, node) pairs over ``nodes`` with no delivery."""
+        return sum(len(self.messages) - len(self.deliveries.get(n, ()))
+                   for n in nodes)
 
     def first_knowledge(self, msg_id: str, node: int) -> float:
         t = self._direct.get(node, {}).get(msg_id, float("inf"))

@@ -1,16 +1,18 @@
-"""External transaction-ordering service and its client-side logic.
+"""External transaction-ordering service: its server nodes and the
+participants' side.
 
-Dedicated servers hand out dense global order numbers.  Each response
-also carries, per participant, a short history of the transactions that
-precede the new one at that participant, which lets a participant start
-a transaction without waiting for ordering news about transactions that
-cannot precede it (the cascaded-waiting defeat).  Admission is a plain
-token bucket per server.
+Dedicated servers (``OrderServer``) hand out dense global order numbers.
+Each response also carries, per participant, a short history of the
+transactions that precede the new one at that participant, which lets a
+participant start a transaction without waiting for ordering news about
+transactions that cannot precede it (the cascaded-waiting defeat).
+Admission is a plain token bucket per server.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import UnknownTransactionError
@@ -58,7 +60,8 @@ class TokenBucket:
 
 
 class OrderServerState:
-    """Sequencer state: dense order numbers plus per-participant logs."""
+    """Sequencer state: dense order numbers plus per-participant logs.
+    A request is admitted (``admit``), then numbered (``assign``)."""
 
     def __init__(self, rate_per_s: float = 1000.0, burst: int = 100,
                  history_depth: int = 16, admission_enabled: bool = True,
@@ -71,14 +74,24 @@ class OrderServerState:
         self.admission_enabled = admission_enabled
         self.rejected = 0
 
-    def handle_order_request(self, req: OrderRequest, now_us: int):
-        """Returns an OrderResponse, or REJECT when admission denies."""
+    def admit(self, req: OrderRequest, now_us: int):
+        """The cached response of a request assigned before, else REJECT
+        when the token bucket is empty, else ADMIT."""
         cached = self.responses.get(req.tx_id)
         if cached is not None:
             return cached
         if self.admission_enabled and self.bucket.admit(now_us) == REJECT:
             self.rejected += 1
             return REJECT
+        return ADMIT
+
+    def assign(self, req: OrderRequest) -> OrderResponse:
+        """The next order number and, per participant, the transactions
+        before it.  A request assigned before (a duplicate admitted while
+        its first copy waited in the queue) gets the same response."""
+        cached = self.responses.get(req.tx_id)
+        if cached is not None:
+            return cached
         order_no = self.next_order_no
         self.next_order_no += 1
         histories = {}
@@ -90,9 +103,114 @@ class OrderServerState:
         self.responses[req.tx_id] = resp
         return resp
 
+    def handle_order_request(self, req: OrderRequest, now_us: int):
+        """Returns an OrderResponse, or REJECT when admission denies."""
+        verdict = self.admit(req, now_us)
+        return self.assign(req) if verdict == ADMIT else verdict
+
     def resume_after(self, highest_seen: int, jump_gap: int):
         """Takeover entry point: continue numbering past what was observed."""
         self.next_order_no = max(self.next_order_no, highest_seen + jump_gap + 1)
+
+
+class OrderServer:
+    """One order-service server, driven by kernel arrivals and timers.
+
+    The active server numbers requests; a spare forwards them to it
+    (SEQ_FWD).  Admitted requests wait in a FIFO queue served one per
+    ``service_time_us`` (at once when that is 0).  Each assignment is
+    noted to the operative peers (SEQ_NOTE) for a successor to number past."""
+
+    def __init__(self, engine, node_id: int, group: dict, active: int,
+                 state: OrderServerState, service_time_us: int,
+                 jump_gap: int):
+        self.engine = engine
+        self.node_id = node_id
+        self.group = group  # server id -> OrderServer, this one included
+        self.active = active  # the server this one takes for the sequencer
+        self.state = state
+        self.service_time_us = service_time_us
+        self.jump_gap = jump_gap
+        self.queue: deque = deque()  # (request, origin); served when nonempty
+        self.max_queue = 0
+        self.highest_seen = 0  # highest order number assigned or noted
+
+    def on_message(self, frm: int, kind: str, msg_id: str, payload):
+        if kind in ("ORDER_REQ", "ORDER_RETRY"):
+            self._ingest(payload, payload.tx_host)
+        elif kind == "SEQ_FWD":
+            req, origin = payload
+            self._ingest(req, origin, forwarded=True)
+        elif kind == "SEQ_NOTE":
+            self.highest_seen = max(self.highest_seen, payload)
+
+    def on_timer(self, key, data):
+        if key[0] == "serve":
+            req, origin = self.queue.popleft()
+            self._assign(req, origin)
+            if self.queue:
+                self.engine.set_timer(self.node_id, self.service_time_us,
+                                      ("serve",))
+        elif key[0] == "promote":
+            self._promote()
+
+    def _ingest(self, req: OrderRequest, origin: int, forwarded=False):
+        engine = self.engine
+        if self.node_id != self.active and not forwarded:
+            engine.send(self.node_id, self.active, "SEQ_FWD", req.tx_id,
+                        (req, origin), {"via": self.node_id})
+            return
+        verdict = self.state.admit(req, engine.now)
+        if verdict == REJECT:
+            engine.trace.add(engine.now, self.node_id, "REJECT", req.tx_id)
+            engine.send(self.node_id, origin, "ORDER_REJECT", req.tx_id, None)
+        elif verdict != ADMIT:  # a repeated request: its cached response
+            self._respond(origin, verdict)
+        elif self.service_time_us <= 0:
+            self._assign(req, origin)
+        else:
+            self.queue.append((req, origin))
+            self.max_queue = max(self.max_queue, len(self.queue))
+            if len(self.queue) == 1:
+                engine.set_timer(self.node_id, self.service_time_us,
+                                 ("serve",))
+
+    def _assign(self, req: OrderRequest, origin: int):
+        resp = self.state.assign(req)
+        self.highest_seen = max(self.highest_seen, resp.order_no)
+        for peer in self.group:
+            if peer != self.node_id and not self.engine.is_crashed(peer):
+                self.engine.send(self.node_id, peer, "SEQ_NOTE", req.tx_id,
+                                 resp.order_no)
+        self._respond(origin, resp)
+
+    def _respond(self, origin: int, resp: OrderResponse):
+        fields = {"order": resp.order_no}
+        self.engine.trace.add(self.engine.now, self.node_id, "ORDER_ASSIGN",
+                              resp.tx_id, fields)
+        self.engine.send(self.node_id, origin, "ORDER_RESP", resp.tx_id,
+                         resp, fields)
+
+    def _promote(self):
+        """After a crash: the highest operative server becomes the active
+        one, in every server's view at once, and numbers past the highest
+        order number of any server."""
+        successor = max(s for s in self.group
+                        if not self.engine.is_crashed(s))
+        if successor == self.active:
+            return
+        for server in self.group.values():
+            server.active = successor
+        state = self.group[successor].state
+        state.resume_after(self._highest_order_anywhere(), self.jump_gap)
+        self.engine.trace.add(self.engine.now, successor, "TAKEOVER", "",
+                              {"resume": state.next_order_no})
+
+    def _highest_order_anywhere(self) -> int:
+        """The highest order number any server has assigned or been told
+        of, the crashed primary's own counter included.  No real node could
+        read this; it stands in for replicating the log to the backups."""
+        return max(server.highest_seen for server in self.group.values())
 
 
 class ParticipantState:

@@ -1,10 +1,10 @@
 """Scenario runtimes: wire protocol nodes and workloads onto the kernel.
 
 AbcastRuntime drives a group of broadcast nodes (the abcast protocols
-under test); OrderingRuntime drives tx hosts, participants and the
-order-service servers.  Both pre-draw the workload from the dedicated
-workload RNG stream so the generated load is identical across protocol
-modes for the same seed.
+under test); OrderingRuntime drives tx hosts and participants, and wires
+the order-service servers (``OrderServer``).  Both pre-draw the workload
+from the dedicated workload RNG stream so the generated load is
+identical across protocol modes for the same seed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .config import ScenarioConfig
 from .errors import SyncFailedError
 from .insurance import InsuranceNode, MODE_ON_SUSPICION, ProtocolParams
 from .kernel import Engine, NodeClock, _mix
-from .ordering import (MODE_SERVICE, OrderRequest, OrderServerState,
-                       ParticipantState, REJECT)
+from .ordering import (MODE_SERVICE, OrderRequest, OrderServer,
+                       OrderServerState, ParticipantState)
 
 SERVER_BASE = 1000  # order server node ids start here
 
@@ -53,15 +53,13 @@ class AbcastRuntime:
         self.engine = Engine(cfg.seed, cfg.build_network())
         self.membership = list(range(cfg.num_client_nodes))
         self.nodes: dict[int, InsuranceNode] = {}
-        self.bcast_times: dict[tuple, int] = {}
-        self.latencies: list[int] = []
         self.messages_total = 0
         params = _protocol_params(cfg)
         clock_rng = random.Random(_mix(cfg.seed, 7))
         for node_id in self.membership:
             clock = _make_clock(cfg, node_id, clock_rng, node_id == 0)
             node = InsuranceNode(self.engine, node_id, self.membership,
-                                 params, self._on_deliver)
+                                 params)
             self.nodes[node_id] = node
             self.engine.add_node(
                 node_id,
@@ -82,8 +80,7 @@ class AbcastRuntime:
         def handler(key, data):
             tag = key[0]
             if tag == "client":
-                mid = node.broadcast(payload=None)
-                self.bcast_times[mid] = self.engine.now
+                node.broadcast(payload=None)
                 self.messages_total += 1
             elif tag == "view":
                 node.on_new_view(key[1])
@@ -126,34 +123,13 @@ class AbcastRuntime:
                     self.engine.set_timer_at(node_id, view_at,
                                              ("view", crashed))
 
-    def _on_deliver(self, node_id, mid, ts, path, now):
-        if node_id == mid[0]:
-            born = self.bcast_times.get(mid)
-            if born is not None:
-                self.latencies.append(now - born)
-
-    def delivered_orders(self) -> dict:
-        return {n: [f"{m[0]}:{m[1]}" for m in self.nodes[n].gmd.delivered]
-                for n in self.membership}
-
     def max_deadline_bound(self) -> int:
         return max((n.max_deadline_D for n in self.nodes.values()), default=0)
-
-    def undelivered_at_end(self) -> int:
-        """(broadcast, operative node) pairs with no delivery."""
-        missing = 0
-        for node_id in self.engine.operative_nodes():
-            delivered = set(self.nodes[node_id].gmd.delivered)
-            missing += sum(1 for mid in self.bcast_times
-                           if mid not in delivered)
-        return missing
 
     def release(self):
         """Break the run's reference cycles (see ``Engine.release``); the
         results stay readable."""
         self.engine.release()
-        for node in self.nodes.values():
-            node.on_deliver = None
 
 
 @dataclass
@@ -178,33 +154,28 @@ class OrderingRuntime:
         self.cfg = cfg
         self.engine = Engine(cfg.seed, cfg.build_network())
         self.clients = list(range(cfg.num_client_nodes))
-        self.servers = [SERVER_BASE + i for i in range(cfg.num_order_servers)]
         self.participants = {c: ParticipantState(c) for c in self.clients}
-        self.server_states: dict[int, OrderServerState] = {}
-        self.server_queues: dict[int, list] = {s: [] for s in self.servers}
-        self.server_busy: dict[int, bool] = {s: False for s in self.servers}
-        self.max_queue_len = 0
         self.txs: dict[str, _TxState] = {}
-        self.latencies: list[int] = []
-        self.no_server_failures = 0
         self._rr_counter = 0
         self._direct_acks: dict[tuple, set] = {}
         self._direct_hybrid: dict[int, int] = {c: 0 for c in self.clients}
-        self._direct_ts: dict[str, tuple] = {}  # tx_id -> (ts, host)
         self._direct_pending: dict[int, list] = {c: [] for c in self.clients}
-        self._highest_order_seen: dict[int, int] = {s: 0 for s in self.servers}
         for c in self.clients:
             self.engine.add_node(c, on_message=self._client_message(c),
                                  on_timer=self._client_timer(c))
-        for s in self.servers:
-            self.server_states[s] = OrderServerState(
+        self.servers: dict[int, OrderServer] = {}
+        ids = range(SERVER_BASE, SERVER_BASE + cfg.num_order_servers)
+        for s in ids:
+            state = OrderServerState(
                 rate_per_s=cfg.admission.rate_per_s,
                 burst=cfg.admission.burst,
                 history_depth=cfg.history_depth,
                 admission_enabled=cfg.admission.enabled)
-            self.engine.add_node(s, on_message=self._server_message(s),
-                                 on_timer=self._server_timer(s))
-        self.active_server = max(self.servers)
+            server = self.servers[s] = OrderServer(
+                self.engine, s, self.servers, max(ids), state,
+                cfg.admission.service_time_us, cfg.sequencer_jump_gap)
+            self.engine.add_node(s, on_message=server.on_message,
+                                 on_timer=server.on_timer)
         self._schedule_workload()
         self._schedule_faults()
 
@@ -265,16 +236,12 @@ class OrderingRuntime:
         else:
             self._direct_broadcast(tx)
 
-    def _operative_servers(self) -> list:
-        return [s for s in self.servers if not self.engine.is_crashed(s)]
-
     def _submit_request(self, tx_id: str):
         tx = self.txs[tx_id]
         if self.engine.is_crashed(tx.host):
             return
-        operative = self._operative_servers()
+        operative = [s for s in self.servers if not self.engine.is_crashed(s)]
         if not operative:
-            self.no_server_failures += 1
             self.engine.trace.add(self.engine.now, tx.host, "NO_SERVERS",
                                   tx_id)
             return
@@ -349,7 +316,6 @@ class OrderingRuntime:
                               {"ts": order_no})
         if len(tx.executed_at) == len(tx.group) and tx.done_us < 0:
             tx.done_us = self.engine.now
-            self.latencies.append(tx.done_us - tx.born_us)
 
     # -- direct (service-less) path ---------------------------------------------
 
@@ -359,7 +325,6 @@ class OrderingRuntime:
         return ts
 
     def _direct_admit(self, client: int, tx_id: str, ts: int, host: int):
-        self._direct_ts[tx_id] = (ts, host)
         self._direct_hybrid[client] = max(self._direct_hybrid[client], ts)
         bisect.insort(self._direct_pending[client], (ts, host, tx_id))
 
@@ -407,105 +372,16 @@ class OrderingRuntime:
             pending.pop(0)
             self._mark_executed(client, tx_id, ts)
 
-    # -- server side --------------------------------------------------------------
-
-    def _server_message(self, server: int):
-        def handler(frm, kind, msg_id, payload):
-            if kind in ("ORDER_REQ", "ORDER_RETRY"):
-                self._server_ingest(server, payload, payload.tx_host)
-            elif kind == "SEQ_FWD":
-                req, origin = payload
-                self._server_ingest(server, req, origin, forwarded=True)
-            elif kind == "SEQ_NOTE":
-                self._highest_order_seen[server] = max(
-                    self._highest_order_seen[server], payload)
-        return handler
-
-    def _server_ingest(self, server: int, req, origin: int, forwarded=False):
-        if server != self.active_server and not forwarded:
-            self.engine.send(server, self.active_server, "SEQ_FWD", req.tx_id,
-                             (req, origin), {"via": server})
-            return
-        state = self.server_states[server]
-        cached = state.responses.get(req.tx_id)
-        if cached is not None:
-            self._respond(server, origin, cached)
-            return
-        if state.admission_enabled and state.bucket.admit(self.engine.now) == REJECT:
-            state.rejected += 1
-            self.engine.trace.add(self.engine.now, server, "REJECT", req.tx_id)
-            self.engine.send(server, origin, "ORDER_REJECT", req.tx_id, None)
-            return
-        service_time = self.cfg.admission.service_time_us
-        if service_time <= 0:
-            self._assign_and_respond(server, origin, req)
-            return
-        queue = self.server_queues[server]
-        queue.append((req, origin))
-        self.max_queue_len = max(self.max_queue_len, len(queue))
-        if not self.server_busy[server]:
-            self.server_busy[server] = True
-            self.engine.set_timer(server, service_time, ("serve",))
-
-    def _server_timer(self, server: int):
-        def handler(key, data):
-            tag = key[0]
-            if tag == "serve":
-                queue = self.server_queues[server]
-                if queue:
-                    req, origin = queue.pop(0)
-                    self._assign_and_respond(server, origin, req)
-                if queue:
-                    self.engine.set_timer(server,
-                                          self.cfg.admission.service_time_us,
-                                          ("serve",))
-                else:
-                    self.server_busy[server] = False
-            elif tag == "promote":
-                self._maybe_promote(server)
-        return handler
-
-    def _assign_and_respond(self, server: int, origin: int, req):
-        state = self.server_states[server]
-        enabled = state.admission_enabled
-        state.admission_enabled = False  # admission already happened at ingest
-        resp = state.handle_order_request(req, self.engine.now)
-        state.admission_enabled = enabled
-        self._highest_order_seen[server] = max(
-            self._highest_order_seen[server], resp.order_no)
-        for peer in self.servers:
-            if peer != server and not self.engine.is_crashed(peer):
-                self.engine.send(server, peer, "SEQ_NOTE", req.tx_id,
-                                 resp.order_no)
-        self._respond(server, origin, resp)
-
-    def _respond(self, server: int, origin: int, resp):
-        fields = {"order": resp.order_no}
-        self.engine.trace.add(self.engine.now, server, "ORDER_ASSIGN",
-                              resp.tx_id, fields)
-        self.engine.send(server, origin, "ORDER_RESP", resp.tx_id, resp, fields)
-
-    def _maybe_promote(self, server: int):
-        operative = self._operative_servers()
-        if not operative:
-            return
-        new_active = max(operative)
-        if new_active != self.active_server:
-            self.active_server = new_active
-            self.server_states[new_active].resume_after(
-                max(self._highest_order_seen.values()),
-                self.cfg.sequencer_jump_gap)
-            self.engine.trace.add(
-                self.engine.now, new_active, "TAKEOVER", "",
-                {"resume": self.server_states[new_active].next_order_no})
-
     def release(self):
         """Break the run's reference cycles (see ``Engine.release``); the
         results stay readable."""
         self.engine.release()
+        for server in self.servers.values():
+            server.group = {}  # through it the servers refer to each other
 
-    def rejected_requests(self) -> int:
-        return sum(s.rejected for s in self.server_states.values())
+    @property
+    def server_states(self) -> dict[int, OrderServerState]:
+        return {s: server.state for s, server in self.servers.items()}
 
     def messages_per_tx(self) -> float:
         if not self.txs:

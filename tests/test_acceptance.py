@@ -232,12 +232,12 @@ def test_c7_cost_and_latency_crossovers():
 def test_c8_history_oracle_and_cascaded_wait():
     rng = random.Random(90125)
     depth = 5
-    srv = OrderServerState(admission_enabled=False, history_depth=depth)
+    srv = OrderServerState(history_depth=depth)
     full_log = {}
     for i in range(1000):
         group = frozenset(rng.sample(range(10), rng.randint(1, 5)))
         expected = {p: list(full_log.get(p, []))[-depth:] for p in group}
-        resp = srv.handle_order_request(OrderRequest(f"t{i}", 0, group), i)
+        resp = srv.assign(OrderRequest(f"t{i}", 0, group))
         assert resp.histories == expected
         for p in group:
             full_log.setdefault(p, []).append(f"t{i}")

@@ -61,6 +61,19 @@ SCENARIOS = {
                      "participant_count_dist": 3, "ordering": "SERVICE",
                      "stop_margin_us": 300_000},
     },
+    # the sequencer's queue, rejections and retries: 190/s admitted of
+    # 200/s offered, 3 ms of service per request, and the same takeover
+    "service-queued": {
+        "seed": 15, "duration_us": 2_000_000,
+        "num_client_nodes": 5, "num_order_servers": 3,
+        "network": {"delay": LOGNORMAL},
+        "admission": {"rate_per_s": 190.0, "burst": 10,
+                      "service_time_us": 3000},
+        "crash_schedule": [{"node": 1002, "at_us": 900_000}],
+        "workload": {"kind": "transactions", "arrival_rate_per_s": 200.0,
+                     "participant_count_dist": 3, "ordering": "SERVICE",
+                     "stop_margin_us": 300_000},
+    },
 }
 
 DIGESTS = {  # name -> (trace.csv, metrics.json)
@@ -76,6 +89,9 @@ DIGESTS = {  # name -> (trace.csv, metrics.json)
     "service-takeover": (
         "5f09303fbc0a6d814ce892773d749d2dc90028fa13fd2e10de42140bc26a78f4",
         "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),
+    "service-queued": (
+        "5ac9d6c9d4ca9e9a13b434f5fa752da14f21b794120ad72d5da2f15b05ff53e3",
+        "c952ae08b420bd75e7ef0afbe0a57aed0790eb17a9c93dedab84964b1ca5a265"),
 }
 
 

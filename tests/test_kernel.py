@@ -175,6 +175,18 @@ class TestClockSync:
         kinds = [r.event_kind for r in eng.trace]
         assert kinds == ["SYNC_FAIL"]
 
+    def test_crashed_reference_is_a_failed_sync(self):
+        eng = make_engine(delay=DelaySpec("fixed", value_us=100))
+        eng.add_node(0)
+        eng.add_node(1, clock=NodeClock(1, offset_us=777, epsilon_us=300))
+        eng.schedule_crash(0, 10)
+        eng.run_until(20)
+        with pytest.raises(SyncFailedError):
+            eng.sync_clock_probabilistic(1, 0, bound_us=200, max_attempts=3)
+        assert eng.clocks[1].epsilon_us == 300  # the old accuracy stays
+        assert eng.clocks[1].offset_us == 777
+        assert [r.event_kind for r in eng.trace] == ["CRASH", "SYNC_FAIL"]
+
 
 def test_run_until_advances_now_even_when_idle():
     eng = make_engine()

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from hybridcast.errors import UnknownTransactionError
+from hybridcast.kernel import DelaySpec, Engine, NetworkModel
 from hybridcast.ordering import (
+    ADMIT,
     MODE_DIRECT,
     MODE_SERVICE,
     REJECT,
     OrderRequest,
+    OrderServer,
     OrderServerState,
     ParticipantState,
     TokenBucket,
@@ -39,26 +42,25 @@ class TestTokenBucket:
 
 class TestOrderServer:
     def test_dense_order_numbers(self):
-        srv = OrderServerState(admission_enabled=False)
+        srv = OrderServerState()
         nums = [
-            srv.handle_order_request(
-                OrderRequest(f"t{i}", 0, frozenset({0, 1})), 0).order_no
+            srv.assign(OrderRequest(f"t{i}", 0, frozenset({0, 1}))).order_no
             for i in range(5)
         ]
         assert nums == [1, 2, 3, 4, 5]
 
     def test_histories_list_preceding_txs_per_participant(self):
-        srv = OrderServerState(admission_enabled=False)
-        srv.handle_order_request(OrderRequest("a", 0, frozenset({1, 2})), 0)
-        srv.handle_order_request(OrderRequest("b", 0, frozenset({2, 3})), 0)
-        resp = srv.handle_order_request(OrderRequest("c", 0, frozenset({1, 2, 3})), 0)
+        srv = OrderServerState()
+        srv.assign(OrderRequest("a", 0, frozenset({1, 2})))
+        srv.assign(OrderRequest("b", 0, frozenset({2, 3})))
+        resp = srv.assign(OrderRequest("c", 0, frozenset({1, 2, 3})))
         assert resp.histories == {1: ["a"], 2: ["a", "b"], 3: ["b"]}
 
     def test_history_depth_truncates(self):
-        srv = OrderServerState(admission_enabled=False, history_depth=2)
+        srv = OrderServerState(history_depth=2)
         for i in range(5):
-            srv.handle_order_request(OrderRequest(f"t{i}", 0, frozenset({7})), 0)
-        resp = srv.handle_order_request(OrderRequest("last", 0, frozenset({7})), 0)
+            srv.assign(OrderRequest(f"t{i}", 0, frozenset({7})))
+        resp = srv.assign(OrderRequest("last", 0, frozenset({7})))
         assert resp.histories == {7: ["t3", "t4"]}
 
     def test_duplicate_request_is_idempotent_and_skips_admission(self):
@@ -75,27 +77,128 @@ class TestOrderServer:
         assert out == REJECT
         assert srv.rejected == 1
 
+    def test_admission_assigns_nothing_and_assignment_is_idempotent(self):
+        srv = OrderServerState(rate_per_s=1, burst=2)
+        req = OrderRequest("a", 0, frozenset({0}))
+        # a retry admitted while the first copy still waits for service
+        assert srv.admit(req, 0) == ADMIT
+        assert srv.admit(req, 0) == ADMIT
+        assert srv.next_order_no == 1 and srv.responses == {}
+        first = srv.assign(req)
+        assert srv.assign(req) is first
+        assert srv.next_order_no == 2
+        assert srv.admit(req, 0) is first  # no token spent on a cached one
+        assert srv.admit(OrderRequest("b", 0, frozenset({0})), 0) == REJECT
+
     def test_resume_after_jumps_past_observed(self):
-        srv = OrderServerState(admission_enabled=False)
+        srv = OrderServerState()
         srv.resume_after(highest_seen=40, jump_gap=10)
-        resp = srv.handle_order_request(OrderRequest("a", 0, frozenset({0})), 0)
+        resp = srv.assign(OrderRequest("a", 0, frozenset({0})))
         assert resp.order_no == 51
 
     def test_history_oracle_brute_force(self):
         """1000 random requests against a from-scratch recomputation."""
         rng = random.Random(2024)
         depth = 4
-        srv = OrderServerState(admission_enabled=False, history_depth=depth)
+        srv = OrderServerState(history_depth=depth)
         full_log = {}  # participant -> [tx_id, ...] in assignment order
         for i in range(1000):
             group = frozenset(rng.sample(range(8), rng.randint(1, 4)))
             expected = {p: list(full_log.get(p, []))[-depth:] for p in group}
-            resp = srv.handle_order_request(
-                OrderRequest(f"t{i}", 0, group), now_us=i)
+            resp = srv.assign(OrderRequest(f"t{i}", 0, group))
             assert resp.order_no == i + 1
             assert resp.histories == expected
             for p in group:
                 full_log.setdefault(p, []).append(f"t{i}")
+
+
+def order_service(service_time_us=0, rate_per_s=1000.0, burst=100,
+                  jump_gap=10):
+    """Servers 1000-1002 (1002 active) and a client 0 on 1 ms links; the
+    client's arrivals are collected as (time, kind, msg_id, payload)."""
+    engine = Engine(1, NetworkModel(delay=DelaySpec("fixed", value_us=1000)))
+    got = []
+    engine.add_node(0, on_message=lambda frm, kind, msg_id, payload:
+                    got.append((engine.now, kind, msg_id, payload)))
+    group = {}
+    for s in (1000, 1001, 1002):
+        state = OrderServerState(rate_per_s=rate_per_s, burst=burst)
+        server = group[s] = OrderServer(engine, s, group, 1002, state,
+                                        service_time_us, jump_gap)
+        engine.add_node(s, on_message=server.on_message,
+                        on_timer=server.on_timer)
+    return engine, group, got
+
+
+def request(engine, server, tx_id, kind="ORDER_REQ"):
+    engine.send(0, server, kind, tx_id, OrderRequest(tx_id, 0, frozenset({0})))
+
+
+def records(engine, kind):
+    return [r for r in engine.trace if r.event_kind == kind]
+
+
+class TestOrderServerNode:
+    def test_spare_forwards_to_the_active_server(self):
+        engine, group, got = order_service()
+        request(engine, 1000, "a")
+        engine.run_until(10_000)
+        assert [(t, kind, resp.order_no) for t, kind, _, resp in got] == [
+            (3000, "ORDER_RESP", 1)]
+        forwards = records(engine, "SEQ_FWD")
+        assert [(r.node, r.fields["via"]) for r in forwards] == [(1002, 1000)]
+        assert group[1000].state.responses == {}
+
+    def test_queue_serves_in_fifo_order(self):
+        engine, group, got = order_service(service_time_us=300)
+        for tx_id in ("a", "b", "c"):
+            request(engine, 1002, tx_id)
+        engine.run_until(10_000)
+        # all three arrive at 1000 us; one is served every 300 us
+        assert [(t, resp.tx_id, resp.order_no) for t, _, _, resp in got] == [
+            (2300, "a", 1), (2600, "b", 2), (2900, "c", 3)]
+        assert group[1002].max_queue == 3
+        assert not group[1002].queue
+
+    def test_duplicate_queued_behind_its_first_copy_gets_the_same_number(self):
+        engine, group, got = order_service(service_time_us=300)
+        request(engine, 1002, "a")
+        request(engine, 1002, "a", kind="ORDER_RETRY")
+        engine.run_until(10_000)
+        assert [(resp.tx_id, resp.order_no) for *_, resp in got] == [
+            ("a", 1), ("a", 1)]
+        # each service traces ORDER_ASSIGN and notes the number to both peers
+        assert len(records(engine, "ORDER_ASSIGN")) == 2
+        assert engine.send_counts["SEQ_NOTE"] == 4
+        assert group[1002].state.next_order_no == 2
+
+    def test_rejection_is_counted_and_traced_once(self):
+        engine, group, got = order_service(rate_per_s=1, burst=1)
+        request(engine, 1002, "a")
+        request(engine, 1002, "b")
+        engine.run_until(10_000)
+        assert [(kind, msg_id) for _, kind, msg_id, _ in got] == [
+            ("ORDER_RESP", "a"), ("ORDER_REJECT", "b")]
+        assert [(r.node, r.msg_id) for r in records(engine, "REJECT")] == [
+            (1002, "b")]
+        assert group[1002].state.rejected == 1
+
+    def test_promotion_resumes_past_the_highest_order_of_any_server(self):
+        engine, group, got = order_service(jump_gap=10)
+        request(engine, 1002, "a")  # numbered at 1000 us, noted at 2000 us
+        engine.schedule_crash(1002, 1500)
+        for s in (1000, 1001):
+            engine.set_timer_at(s, 1501, ("promote",))
+        engine.run_until(1501)
+        # only the crashed primary's counter holds order 1 at promotion
+        assert group[1001].highest_seen == 0
+        assert [(r.node, r.fields["resume"])
+                for r in records(engine, "TAKEOVER")] == [(1001, 12)]
+        assert all(server.active == 1001 for server in group.values())
+        request(engine, 1000, "b")
+        engine.run_until(10_000)
+        assert [(resp.tx_id, resp.order_no) for *_, resp in got] == [
+            ("a", 1), ("b", 12)]
 
 
 class TestParticipant:

@@ -98,3 +98,27 @@ def test_resync_keeps_drifting_clocks_usable():
     result = run_scenario(cfg)
     assert any(True for _ in result.trace.of_kind("SYNC"))
     assert result.metrics.order_violations == 0
+
+
+def test_crashed_sync_reference_does_not_abort_the_run():
+    """Node 0 is the clock-sync reference; resyncs after its crash fail."""
+    cfg = config_from_dict({
+        "seed": 3, "duration_us": 2_000_000, "mode": "HYBRID",
+        "num_client_nodes": 5,
+        "network": {"delay": {"family": "lognormal", "median_us": 3000,
+                              "sigma": 0.5}},
+        "clock": {"init_offset_max_us": 200, "drift_ppm_max": 50,
+                  "sync_enabled": True, "sync_bound_us": 3000},
+        "resync_interval_us": 500_000,
+        "crash_schedule": [{"node": 0, "at_us": 700_000}],
+        "view_install_delay_us": 300_000,
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 100.0,
+                     "stop_margin_us": 300_000},
+    })
+    result = run_scenario(cfg)
+    synced = [r.sim_time_us for r in result.trace.of_kind("SYNC")]
+    failed = [r.sim_time_us for r in result.trace.of_kind("SYNC_FAIL")]
+    assert synced == [500_000] * 4
+    assert failed == [1_000_000] * 4 + [1_500_000] * 4 + [2_000_000] * 4
+    assert result.metrics.undelivered_at_end == 0
+    assert result.metrics.order_violations == 0
