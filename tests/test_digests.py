@@ -23,10 +23,10 @@ from hybridcast.harness import run_scenario
 LOGNORMAL = {"family": "lognormal", "median_us": 3000, "sigma": 0.5}
 
 SCENARIOS = {
-    # crash-free, piggybacked acks, drifting clocks resynchronized twice
+    # crash-free, drifting clocks resynchronized twice
     "hybrid": {
         "seed": 11, "duration_us": 2_000_000, "mode": "HYBRID",
-        "ack_mode": "piggyback", "num_client_nodes": 5,
+        "num_client_nodes": 5,
         "network": {"delay": LOGNORMAL},
         "clock": {"init_offset_max_us": 200, "drift_ppm_max": 50,
                   "sync_enabled": True, "sync_bound_us": 3000},
@@ -78,8 +78,8 @@ SCENARIOS = {
 
 DIGESTS = {  # name -> (trace.csv, metrics.json)
     "hybrid": (
-        "e611f47d1f5c9f8f28ee93aa16d6347b31651a5b5bf7c9179cacda2146c8014c",
-        "658faa31eb5ce91913127fac4a16bc7dda6b6dedc1868be8de483f3844559762"),
+        "c8e0dfecacfae3c534ab239a0509739294c15cc0a61af129d615b5c14e2107be",
+        "119eae565f3cf818b3300d446280344b2b148fd404ef68e05306e173565147d6"),
     "hybrid-crash-lossy": (
         "233c6e0b02ff21cf4b61f34de256497c0821465e3dace226f6dbfe44ce1e0101",
         "9e62b1beed4d0caabb625485d0a1fa638814c0b2e3c6e8ccd7ac11c8b0b5da58"),
