@@ -65,7 +65,6 @@ class ScenarioConfig:
     seed: int
     duration_us: int
     mode: str = MODE_HYBRID
-    ack_mode: str = "instant"
     num_order_servers: int = 3
     num_client_nodes: int = 5
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -172,8 +171,6 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigInvalidError("num_client_nodes must be >= 1")
     if cfg.mode not in MODES:
         raise ConfigInvalidError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.ack_mode not in ("instant", "piggyback"):
-        raise ConfigInvalidError("ack_mode must be instant|piggyback")
     if not (0.0 <= cfg.network.drop_prob <= 1.0):
         raise ConfigInvalidError(
             f"network.drop_prob must be in [0,1], got {cfg.network.drop_prob}")

@@ -86,6 +86,10 @@ class GmdNodeState:
         self._admit(msg)
         if msg.ts > self.hybrid_clock:
             self.hybrid_clock = msg.ts
+        return self.new_promise(clock_reading)
+
+    def new_promise(self, clock_reading: int) -> int:
+        """A timestamp that every later broadcast of this node exceeds."""
         promise = self.assign_timestamp(clock_reading)
         self.note_timestamp(self.node_id, promise)
         return promise
@@ -99,13 +103,11 @@ class GmdNodeState:
     # -- delivery ----------------------------------------------------------
 
     def head(self) -> Optional[MsgId]:
-        while self._order:
-            ts, sender, seq = self._order[0]
-            mid = (sender, seq)
-            if mid in self.pending:
-                return mid
-            heapq.heappop(self._order)  # delivered, drop stale entry
-        return None
+        # _admit and deliver_head change pending and _order together
+        if not self._order:
+            return None
+        _, sender, seq = self._order[0]
+        return (sender, seq)
 
     def head_deliverable(self) -> bool:
         mid = self.head()

@@ -26,19 +26,20 @@ starts the timeout at its arrival.  A pending message is delivered
 either by the GMD all-ack rules or once the local clock passes its
 timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
-earlier-timestamped message.
+earlier-timestamped message.  In HYBRID_ON_SUSPICION the heartbeat is
+the node's ack record with a fresh promise, so a lost ack is replaced
+within one heartbeat interval.
 
 Per message a node keeps its ``store`` entry (the arriving
-``InsuranceMessage`` itself, shared by every receiver, unless acks rode
-on it), a bitmask in ``arrival_forms`` of the forms its copies arrived
-in, and its timestamp in ``gmd.delivered_ts`` once delivered.  Stability
-GC (Birman, Schiper and Stephenson, TOCS 1991) drops all three once the
-node has delivered the message, its seq is below the sender's
-contiguous watermark, every member's newest vector covers it (the
-sender's need not: it holds its own) and no timer will still send it;
-see ``_collect``.  A copy that arrives
-later is a duplicate, since its seq is below the sender's collection
-floor.  Only the id stays, in ``gmd.delivered``.
+``InsuranceMessage`` itself, shared by every receiver), a bitmask in
+``arrival_forms`` of the forms its copies arrived in, and its timestamp
+in ``gmd.delivered_ts`` once delivered.  Stability GC (Birman, Schiper
+and Stephenson, TOCS 1991) drops all three once the node has delivered
+the message, its seq is below the sender's contiguous watermark, every
+member's newest vector covers it (the sender's need not: it holds its
+own) and no timer will still send it; see ``_collect``.  A copy that
+arrives later is a duplicate, since its seq is below the sender's
+collection floor.  Only the id stays, in ``gmd.delivered``.
 """
 
 from __future__ import annotations
@@ -67,13 +68,11 @@ class InsuranceMessage:
     relayed_by: Optional[int] = None
     payload: object = None
     sent_ts: int = 0  # sender/relayer clock at the actual send of this copy
-    piggy_acks: tuple = ()
 
 
 @dataclass(frozen=True)
 class InsuranceAck:
     acker: int
-    acked_msg: tuple  # the arrival that prompted it; labels the trace only
     promise: int
     seen: dict  # sender -> contiguous watermark
 
@@ -81,7 +80,6 @@ class InsuranceAck:
 @dataclass(frozen=True)
 class ProtocolParams:
     mode: str = MODE_HYBRID
-    ack_mode: str = "instant"  # instant | piggyback
     eta_us: int = 2000
     theta_us: int = 1000
     epsilon_us: int = 100
@@ -121,7 +119,6 @@ class InsuranceNode:
         self.max_deadline_D = 0
         self.suspected: set[int] = set()
         self.last_heard: dict[int, int] = {}
-        self.out_acks: list = []
         self._timers: dict = {}
         # (sender, seq) -> next retry target's index; a hole enters it when
         # its first request goes out
@@ -169,8 +166,7 @@ class InsuranceNode:
         mid = (self.node_id, self.seqno)
         self.seqno += 1
         d_i = self.current_d()
-        msg = InsuranceMessage(mid, ts, d_i, 1, payload=payload, sent_ts=ts,
-                               piggy_acks=self._take_acks())
+        msg = InsuranceMessage(mid, ts, d_i, 1, payload=payload, sent_ts=ts)
         self.store[mid] = msg
         self._note_seq(self.node_id, mid[1], self.node_id)
         self.gmd.add_own(GmdMessage(mid, ts, payload))
@@ -184,43 +180,28 @@ class InsuranceNode:
         self._try_deliver()
         return mid
 
-    def _send_copy(self, msg: InsuranceMessage):
+    def _send_copy(self, msg: InsuranceMessage, to: Optional[int] = None):
+        """Send ``msg`` to every member, or only to ``to``."""
         fields = {"ts": msg.ts, "seq": msg.msg_id[1], "d": msg.d_i,
                   "copy": msg.copy_index, "frm": self.node_id,
                   "relay": msg.relayed_by}
         kind = "INS_RELAY" if msg.relayed_by is not None else "INS_MSG"
-        self.engine.broadcast(self.node_id, self.membership, kind,
-                              msg_id_str(msg.msg_id), msg, fields)
+        if to is None:
+            self.engine.broadcast(self.node_id, self.membership, kind,
+                                  msg_id_str(msg.msg_id), msg, fields)
+        else:
+            self.engine.send(self.node_id, to, kind, msg_id_str(msg.msg_id),
+                             msg, fields)
 
-    # -- ack plumbing ------------------------------------------------------
-
-    def _take_acks(self) -> tuple:
-        if self.params.ack_mode != "piggyback" or not self.out_acks:
-            return ()
-        out = tuple(self.out_acks)
-        self.out_acks.clear()
-        self._cancel(("ackflush",))
-        return out
-
-    def _send_ack(self, ack):
-        if self.params.ack_mode == "piggyback":
-            self.out_acks.append(ack)
-            if ("ackflush",) not in self._timers:
-                self._set_timer(("ackflush",), self.params.theta_us)
-            return
-        self._broadcast_acks((ack,))
-
-    def _flush_acks(self):
-        acks = tuple(self.out_acks)
-        self.out_acks.clear()
-        if acks:
-            self._broadcast_acks(acks)
-
-    def _broadcast_acks(self, acks: tuple):
-        last = acks[-1]
-        fields = {"frm": self.node_id, "ats": last.promise, "seen": last.seen}
-        self.engine.broadcast(self.node_id, self.membership, "INS_ACK",
-                              msg_id_str(last.acked_msg), acks, fields)
+    def _send_ack(self, label: str, promise: int):
+        """Send this node's ack record to every member: after an arrival,
+        labelled with its id, and in HYBRID_ON_SUSPICION, unlabelled, as
+        its heartbeat, which replaces a lost ack."""
+        seen = dict(self.contig)
+        self.engine.broadcast(
+            self.node_id, self.membership, "INS_ACK", label,
+            InsuranceAck(self.node_id, promise, seen),
+            {"frm": self.node_id, "ats": promise, "seen": seen})
 
     # -- kernel entry points -----------------------------------------------
 
@@ -229,12 +210,10 @@ class InsuranceNode:
         if kind in ("INS_MSG", "INS_RELAY"):
             self._on_copy(frm, payload)
         elif kind == "INS_ACK":
-            self._on_acks(frm, payload)
+            self._apply_ack(frm, payload)
+            self._try_deliver()
         elif kind == "RETX_REQ":
             self._on_retx_req(frm, payload)
-        elif kind == "HEARTBEAT":
-            self.estimator.record(frm, self.clock() - payload,
-                                  self.params.epsilon_us)
 
     def on_timer(self, key, data):
         self._timers.pop(key, None)
@@ -243,8 +222,8 @@ class InsuranceNode:
             mid = key[1]
             held = self.store.get(mid)
             if held is not None:
-                self._send_copy(replace(held, copy_index=2, sent_ts=self.clock(),
-                                        piggy_acks=self._take_acks()))
+                self._send_copy(replace(held, copy_index=2,
+                                        sent_ts=self.clock()))
         elif tag == "second":
             self._relay(key[1])
         elif tag == "relay2":
@@ -253,16 +232,13 @@ class InsuranceNode:
             if held is not None:
                 self._send_copy(replace(held, copy_index=2,
                                         relayed_by=self.node_id,
-                                        sent_ts=self.clock(), piggy_acks=()))
+                                        sent_ts=self.clock()))
         elif tag == "deadline":
             self._on_deadline_timer(key[1])
         elif tag == "retx":
             self._retry_retx(key[1], key[2], data)
-        elif tag == "ackflush":
-            self._flush_acks()
         elif tag == "hb":
-            self.engine.broadcast(self.node_id, self.membership, "HEARTBEAT",
-                                  "", self.clock(), {"frm": self.node_id})
+            self._send_ack("", self.gmd.new_promise(self.clock()))
             self._set_timer(("hb",), self.params.heartbeat_interval_us)
         elif tag == "hbcheck":
             self._check_heartbeats()
@@ -280,8 +256,6 @@ class InsuranceNode:
     def _on_copy(self, frm: int, msg: InsuranceMessage):
         self.estimator.record(frm, self.clock() - msg.sent_ts,
                               self.params.epsilon_us)
-        for ack in msg.piggy_acks:
-            self._apply_ack(frm, ack)
         mid = msg.msg_id
         if msg.relayed_by is not None and msg.relayed_by != self.node_id:
             # someone else is already relaying: suppress our own relay
@@ -291,9 +265,7 @@ class InsuranceNode:
         if mid[1] < self._floor.get(mid[0], 0):
             pass  # collected: every member holds it, so this is a duplicate
         elif mid not in self.store:
-            # receivers share the sender's message unless acks rode on it
-            self.store[mid] = (replace(msg, piggy_acks=()) if msg.piggy_acks
-                               else msg)
+            self.store[mid] = msg  # shared by every receiver
             self.arrival_forms[mid] = form
             self._note_seq(mid[0], mid[1], frm)
             promise = self.gmd.on_receive(GmdMessage(mid, msg.ts, msg.payload),
@@ -309,19 +281,13 @@ class InsuranceNode:
                 self._set_timer(("second", mid), wait)
             if self.insured_active():
                 self._arm_deadline(mid, msg.ts, msg.d_i)
-            self._send_ack(InsuranceAck(self.node_id, mid, promise,
-                                        dict(self.contig)))
+            self._send_ack(msg_id_str(mid), promise)
         else:
             forms = self.arrival_forms.get(mid, 0)
             if forms and not forms & form:
                 # the other copy (or a relay) arrived: sender is not stuck
                 self._cancel(("second", mid))
             self.arrival_forms[mid] = forms | form
-        self._try_deliver()
-
-    def _on_acks(self, frm: int, acks):
-        for ack in acks:
-            self._apply_ack(frm, ack)
         self._try_deliver()
 
     def _apply_ack(self, frm: int, ack: InsuranceAck):
@@ -411,13 +377,8 @@ class InsuranceNode:
         for seq in seqs:
             held = self.store.get((sender, seq))
             if held is not None:
-                self.engine.send(
-                    self.node_id, frm, "INS_RELAY", msg_id_str((sender, seq)),
-                    replace(held, relayed_by=self.node_id, sent_ts=self.clock(),
-                            piggy_acks=()),
-                    {"ts": held.ts, "seq": seq, "d": held.d_i,
-                     "copy": held.copy_index, "frm": self.node_id,
-                     "relay": self.node_id})
+                self._send_copy(replace(held, relayed_by=self.node_id,
+                                        sent_ts=self.clock()), to=frm)
 
     # -- proactive relay ---------------------------------------------------
 
@@ -427,7 +388,7 @@ class InsuranceNode:
         if held is None or forms & (forms - 1):  # two forms or more arrived
             return
         self._send_copy(replace(held, copy_index=1, relayed_by=self.node_id,
-                                sent_ts=self.clock(), piggy_acks=()))
+                                sent_ts=self.clock()))
         self._set_timer(("relay2", mid), self.params.eta_us)
 
     # -- deadlines and delivery --------------------------------------------
@@ -457,17 +418,19 @@ class InsuranceNode:
             self._set_timer(("deadline", mid), self.params.theta_us)
 
     def _gap_blocks(self, m_ts: int) -> bool:
+        """Whether a hole may hide a message ordered before ``m_ts``.
+
+        A sender's lowest hole is ``contig + 1``, the entry at ``contig``
+        is held (``_collect`` stops below it) and its later holes sit
+        above later timestamps, so the message at ``contig`` decides; a
+        sender with no message held below its hole blocks.
+        """
         if not self._open_gaps:
             return False
         for sender, gap_set in self.gaps.items():
-            for q in gap_set:
-                lower = -1  # ts of the nearest message held below the hole
-                for r in range(q - 1, -1, -1):
-                    held = self.store.get((sender, r))
-                    if held is not None:
-                        lower = held.ts
-                        break
-                if lower < m_ts:
+            if gap_set:
+                below = self.store.get((sender, self.contig.get(sender, -1)))
+                if below is None or below.ts < m_ts:
                     return True
         return False
 

@@ -25,7 +25,7 @@ SERVER_BASE = 1000  # order server node ids start here
 
 def _protocol_params(cfg: ScenarioConfig) -> ProtocolParams:
     return ProtocolParams(
-        mode=cfg.mode, ack_mode=cfg.ack_mode, eta_us=cfg.eta_us,
+        mode=cfg.mode, eta_us=cfg.eta_us,
         theta_us=cfg.theta_us, epsilon_us=cfg.epsilon_us,
         percentile=cfg.percentile, safety_margin_us=cfg.safety_margin_us,
         window_size=cfg.window_size, default_d_us=cfg.default_d_us,

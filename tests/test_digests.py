@@ -51,6 +51,18 @@ SCENARIOS = {
         "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0,
                      "stop_margin_us": 300_000},
     },
+    # 3 % loss, heartbeats that carry the ack, and a crash suspected after
+    # 300 ms of silence and removed from the view 600 ms after it
+    "on-suspicion": {
+        "seed": 16, "duration_us": 2_000_000, "mode": "HYBRID_ON_SUSPICION",
+        "num_client_nodes": 4,
+        "network": {"delay": LOGNORMAL, "drop_prob": 0.03},
+        "heartbeat_interval_us": 100_000, "suspicion_timeout_us": 300_000,
+        "crash_schedule": [{"node": 3, "at_us": 800_000}],
+        "view_install_delay_us": 600_000,
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0,
+                     "stop_margin_us": 300_000},
+    },
     # the active sequencer (1002) crashes and 1001 takes over
     "service-takeover": {
         "seed": 14, "duration_us": 2_000_000,
@@ -86,6 +98,9 @@ DIGESTS = {  # name -> (trace.csv, metrics.json)
     "gmd-only": (
         "464804f6a0657fd80402f88676517d7b94d0ea34d8e1180b669f652db3b695ff",
         "b4041e5e1e4a81bc893739905bf8d8258d43e55eba78b77a82237e46db23de65"),
+    "on-suspicion": (
+        "c2f46ec56ac8162156f8b6a0717abe5205095d143f343993252c286bb899fe5c",
+        "138641382233ff3142498e4834b7ee692eb6f409490e7bcf9797e529de27d1dd"),
     "service-takeover": (
         "5f09303fbc0a6d814ce892773d749d2dc90028fa13fd2e10de42140bc26a78f4",
         "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),

@@ -366,14 +366,32 @@ def test_heartbeat_silence_raises_suspicion():
     assert 1 not in nodes[2].suspected
 
 
-def test_piggyback_acks_still_deliver():
-    eng, nodes = build_cluster(n=4, ack_mode="piggyback", theta_us=1000)
-    mids = [nodes[i % 4].broadcast(i) for i in range(6)]
-    eng.run_until(10_000_000)
+def test_heartbeat_ack_replaces_a_lost_ack():
+    # node 2's only ack of node 0's broadcast never reaches node 1, and no
+    # one is suspected, so no deadline is armed; node 2's next heartbeat
+    # carries its ack record and completes the all-ack round at node 1
+    eng, nodes = build_cluster(n=3, mode=MODE_ON_SUSPICION,
+                               heartbeat_interval_us=50_000,
+                               suspicion_timeout_us=10_000_000)
+    send = eng.send
+    lost = []
+
+    def first_ack_2_to_1_lost(frm, to, kind, msg_id, payload, *rest):
+        if (frm, to, kind) == (2, 1, "INS_ACK") and not lost:
+            lost.append(msg_id)
+            return
+        send(frm, to, kind, msg_id, payload, *rest)
+
+    eng.send = first_ack_2_to_1_lost
     for node in nodes.values():
-        assert set(delivered(node)) == set(mids)
-    # piggyback mode must not fall back to instant ack sends
-    assert eng.send_counts.get("INS_ACK", 0) < 6 * 4 * 3
+        node.start_heartbeats()
+    mid = nodes[0].broadcast("acked twice")
+    eng.run_until(49_000)
+    assert lost == [msg_id_str(mid)]
+    assert delivered(nodes[1]) == []
+    eng.run_until(120_000)
+    assert delivered(nodes[1]) == [mid]
+    assert not nodes[1].deadlines
 
 
 def test_delay_estimate_feeds_deadline_bound():

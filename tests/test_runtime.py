@@ -85,6 +85,24 @@ def test_broadcast_runtime_with_drops_stays_consistent():
     assert m.case2_count == 0
 
 
+def test_heartbeat_acks_repair_a_lost_last_ack():
+    # no crash and no suspicion: only the heartbeat, which carries each
+    # node's ack record, replaces an ack lost after the last broadcast
+    cfg = config_from_dict({
+        "seed": 609676, "duration_us": 3_000_000,
+        "mode": "HYBRID_ON_SUSPICION", "num_client_nodes": 4,
+        "network": {"delay": {"family": "lognormal", "median_us": 5000,
+                              "sigma": 0.5},
+                    "drop_prob": 0.03},
+        "heartbeat_interval_us": 100_000,
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 50.0,
+                     "stop_margin_us": 500_000},
+    })
+    m = run_scenario(cfg).metrics
+    assert m.undelivered_at_end == 0
+    assert "HEARTBEAT" not in m.sends_by_kind
+
+
 def test_resync_keeps_drifting_clocks_usable():
     cfg = config_from_dict({
         "seed": 77, "duration_us": 8_000_000, "mode": "HYBRID",
