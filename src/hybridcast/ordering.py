@@ -7,6 +7,13 @@ transactions that precede the new one at that participant, which lets a
 participant start a transaction without waiting for ordering news about
 transactions that cannot precede it (the cascaded-waiting defeat).
 Admission is a plain token bucket per server.
+
+Memory per transaction.  A server keeps, per participant, only the ids
+of its last ``history_depth`` transactions: the window a history is cut
+from.  It also caches each response for duplicate requests.  A
+participant keeps a transaction's order number and history (the list
+the response carries, not a copy) from its ORDER_FWD until it executes
+the transaction; after that it keeps only the id, in ``executed_set``.
 """
 
 from __future__ import annotations
@@ -68,7 +75,8 @@ class OrderServerState:
                  first_order_no: int = 1):
         self.next_order_no = first_order_no
         self.history_depth = history_depth
-        self.per_participant_log: dict[int, list] = {}
+        # participant -> ids of its last history_depth transactions
+        self.per_participant_log: dict[int, deque] = {}
         self.responses: dict[str, OrderResponse] = {}
         self.bucket = TokenBucket(rate_per_s, burst)
         self.admission_enabled = admission_enabled
@@ -96,9 +104,12 @@ class OrderServerState:
         self.next_order_no += 1
         histories = {}
         for p in sorted(req.participants):
-            log = self.per_participant_log.setdefault(p, [])
-            histories[p] = [tx for _, tx in log[-self.history_depth:]]
-            log.append((order_no, req.tx_id))
+            log = self.per_participant_log.get(p)
+            if log is None:
+                log = self.per_participant_log[p] = deque(
+                    maxlen=self.history_depth)
+            histories[p] = list(log)
+            log.append(req.tx_id)
         resp = OrderResponse(req.tx_id, order_no, histories)
         self.responses[req.tx_id] = resp
         return resp
@@ -218,8 +229,8 @@ class ParticipantState:
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.known_orders: dict[str, tuple] = {}  # tx_id -> (order_no, history)
-        self.executed: list[str] = []
+        # tx_id -> (order_no, history), from its order until it executes
+        self.known_orders: dict[str, tuple] = {}
         self.executed_set: set[str] = set()
         self.pending_participations: set[str] = set()
         self._waiting: list = []  # (order_no, tx_id), kept sorted
@@ -228,15 +239,17 @@ class ParticipantState:
         if tx_id not in self.executed_set:
             self.pending_participations.add(tx_id)
 
-    def on_order(self, tx_id: str, order_no: int, history) -> list[str]:
-        """Record an order; returns tx_ids that just became executable."""
+    def on_order(self, tx_id: str, order_no: int, history) -> list[tuple]:
+        """Record an order; returns the (tx_id, order_no) pairs that just
+        became executable, in execution order.  ``history`` is kept as
+        given, not copied."""
         if (tx_id not in self.pending_participations
                 and tx_id not in self.executed_set):
             raise UnknownTransactionError(
                 f"node {self.node_id} is not a participant of {tx_id}")
         if tx_id in self.executed_set or tx_id in self.known_orders:
             return []  # replayed forward
-        self.known_orders[tx_id] = (order_no, list(history))
+        self.known_orders[tx_id] = (order_no, history)
         bisect.insort(self._waiting, (order_no, tx_id))
         return self._drain()
 
@@ -249,7 +262,7 @@ class ParticipantState:
                 return False  # a preceding transaction of ours is unordered/unexecuted
         return True
 
-    def _drain(self) -> list[str]:
+    def _drain(self) -> list[tuple]:
         newly = []
         progress = True
         while progress:
@@ -257,10 +270,10 @@ class ParticipantState:
             remaining = []
             for order_no, tx_id in self._waiting:
                 if self._executable(tx_id):
-                    self.executed.append(tx_id)
+                    del self.known_orders[tx_id]
                     self.executed_set.add(tx_id)
                     self.pending_participations.discard(tx_id)
-                    newly.append(tx_id)
+                    newly.append((tx_id, order_no))
                     progress = True
                 else:
                     remaining.append((order_no, tx_id))

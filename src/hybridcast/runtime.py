@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ScenarioConfig
 from .errors import SyncFailedError
@@ -132,7 +132,7 @@ class AbcastRuntime:
         self.engine.release()
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxState:
     tx_id: str
     host: int
@@ -142,7 +142,7 @@ class _TxState:
     server_cursor: int = 0
     responded: bool = False
     reqto_token: int = -1
-    executed_at: dict = field(default_factory=dict)  # node -> time
+    executed: int = 0  # participants that executed it
     done_us: int = -1
 
 
@@ -302,19 +302,18 @@ class OrderingRuntime:
         self.engine.set_timer(client, backoff, ("retry", tx_id))
 
     def _apply_order(self, client: int, tx_id: str, order_no: int, history):
-        newly = self.participants[client].on_order(tx_id, order_no, history)
-        for done in newly:
-            self._mark_executed(client, done,
-                                self.participants[client].known_orders[done][0])
+        part = self.participants[client]
+        for done, done_order_no in part.on_order(tx_id, order_no, history):
+            self._mark_executed(client, done, done_order_no)
 
-    def _mark_executed(self, client: int, tx_id: str, order_no=None):
+    def _mark_executed(self, client: int, tx_id: str, order_no: int):
+        """Called once per (transaction, participant): the participant's
+        executed set and DIRECT's pending list each execute a tx once."""
         tx = self.txs[tx_id]
-        if client in tx.executed_at:
-            return
-        tx.executed_at[client] = self.engine.now
+        tx.executed += 1
         self.engine.trace.add(self.engine.now, client, "EXEC", tx_id,
                               {"ts": order_no})
-        if len(tx.executed_at) == len(tx.group) and tx.done_us < 0:
+        if tx.executed == len(tx.group):
             tx.done_us = self.engine.now
 
     # -- direct (service-less) path ---------------------------------------------
@@ -370,6 +369,7 @@ class OrderingRuntime:
             if len(acks) < len(tx.group):
                 break
             pending.pop(0)
+            del self._direct_acks[(tx_id, client)]  # every member has acked
             self._mark_executed(client, tx_id, ts)
 
     def release(self):

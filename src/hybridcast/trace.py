@@ -114,7 +114,9 @@ class Trace:
         self._count = 0
 
     def _open_spool(self):
-        self._spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+        # write-only: read back through os.pread on its (O_RDWR) fd, and a
+        # readable text wrapper resets its decoder on every write
+        self._spool = tempfile.TemporaryFile("w", encoding="utf-8")
         return self._spool
 
     def add(self, sim_time_us: int, node: int, kind: str, msg_id: str = "",

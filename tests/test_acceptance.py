@@ -247,8 +247,8 @@ def test_c8_history_oracle_and_cascaded_wait():
     part = ParticipantState(0)
     part.note_participation("old-unordered")
     part.note_participation("new")
-    assert part.on_order("new", 50, []) == ["new"]
-    assert part.on_order("old-unordered", 1, []) == ["old-unordered"]
+    assert part.on_order("new", 50, []) == [("new", 50)]
+    assert part.on_order("old-unordered", 1, []) == [("old-unordered", 1)]
     report("C8 1000-request history oracle matches brute force; "
            "cascaded wait defeated by empty history")
 

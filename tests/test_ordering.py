@@ -63,6 +63,13 @@ class TestOrderServer:
         resp = srv.assign(OrderRequest("last", 0, frozenset({7})))
         assert resp.histories == {7: ["t3", "t4"]}
 
+    def test_log_keeps_only_the_history_window(self):
+        srv = OrderServerState(history_depth=3)
+        for i in range(10):
+            srv.assign(OrderRequest(f"t{i}", 0, frozenset({i % 2, 2})))
+        assert {p: list(log) for p, log in srv.per_participant_log.items()} == {
+            0: ["t4", "t6", "t8"], 1: ["t5", "t7", "t9"], 2: ["t7", "t8", "t9"]}
+
     def test_duplicate_request_is_idempotent_and_skips_admission(self):
         srv = OrderServerState(rate_per_s=1, burst=1)
         first = srv.handle_order_request(OrderRequest("a", 0, frozenset({0})), 0)
@@ -213,8 +220,7 @@ class TestParticipant:
             part.note_participation(tx)
         # order for b arrives first; b's history says a precedes it
         assert part.on_order("b", 2, ["a"]) == []
-        assert part.on_order("a", 1, []) == ["a", "b"]
-        assert part.executed == ["a", "b"]
+        assert part.on_order("a", 1, []) == [("a", 1), ("b", 2)]
 
     def test_cascaded_wait_defeated_by_history(self):
         """A transaction whose history shows no pending predecessor starts
@@ -225,27 +231,41 @@ class TestParticipant:
         # the service assigned order 5 to mine-late; its history at node 0
         # does not contain mine-early, so mine-early cannot precede it here
         newly = part.on_order("mine-late", 5, [])
-        assert newly == ["mine-late"]
+        assert newly == [("mine-late", 5)]
         # the older transaction still executes once its order arrives
-        assert part.on_order("mine-early", 1, []) == ["mine-early"]
+        assert part.on_order("mine-early", 1, []) == [("mine-early", 1)]
 
     def test_history_dependency_blocks_until_executed(self):
         part = ParticipantState(0)
         for tx in ("dep", "main"):
             part.note_participation(tx)
         assert part.on_order("main", 7, ["dep"]) == []
-        assert part.on_order("dep", 2, []) == ["dep", "main"]
+        assert part.on_order("dep", 2, []) == [("dep", 2), ("main", 7)]
 
     def test_history_dependency_not_pending_does_not_block(self):
         # dep involves this node's peers only; node 0 never participates
         part = ParticipantState(0)
         part.note_participation("main")
-        assert part.on_order("main", 7, ["dep"]) == ["main"]
+        assert part.on_order("main", 7, ["dep"]) == [("main", 7)]
+
+    def test_executed_transaction_leaves_no_known_order(self):
+        part = ParticipantState(0)
+        for tx in ("a", "b", "c"):
+            part.note_participation(tx)
+        history = ["a"]
+        part.on_order("b", 2, history)
+        part.on_order("c", 3, ["a", "b"])
+        assert part.known_orders == {"b": (2, history), "c": (3, ["a", "b"])}
+        assert part.known_orders["b"][1] is history  # kept, not copied
+        assert part.on_order("a", 1, []) == [("a", 1), ("b", 2), ("c", 3)]
+        assert part.known_orders == {}
+        assert part.executed_set == {"a", "b", "c"}
+        assert part.pending_participations == set()
 
     def test_replayed_order_is_ignored(self):
         part = ParticipantState(0)
         part.note_participation("a")
-        assert part.on_order("a", 1, []) == ["a"]
+        assert part.on_order("a", 1, []) == [("a", 1)]
         assert part.on_order("a", 1, []) == []
 
 

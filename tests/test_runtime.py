@@ -1,5 +1,8 @@
+import tracemalloc
+
 from hybridcast.config import config_from_dict
 from hybridcast.harness import run_scenario
+from hybridcast.runtime import OrderingRuntime
 
 
 def tx_cfg(**over):
@@ -67,6 +70,51 @@ def test_direct_path_message_count_matches_model():
         workload={"kind": "transactions", "arrival_rate_per_s": 100.0,
                   "participant_count_dist": 3, "ordering": "DIRECT"}))
     assert result.metrics.messages_per_tx_mean == 8.0  # 3*3 - 1
+
+
+def test_direct_path_frees_each_ack_set_when_it_executes():
+    rt = OrderingRuntime(tx_cfg(
+        duration_us=3_000_000,
+        workload={"kind": "transactions", "arrival_rate_per_s": 100.0,
+                  "participant_count_dist": 3, "ordering": "DIRECT"}))
+    rt.engine.run_until(rt.cfg.duration_us)
+    assert rt.txs and all(tx.done_us >= 0 for tx in rt.txs.values())
+    assert rt._direct_acks == {}
+
+
+def test_participants_keep_no_order_of_an_executed_transaction():
+    rt = OrderingRuntime(tx_cfg(
+        duration_us=3_000_000,
+        crash_schedule=[{"node": 1002, "at_us": 1_000_000}]))
+    rt.engine.run_until(rt.cfg.duration_us)
+    assert rt.txs and all(tx.done_us >= 0 for tx in rt.txs.values())
+    for part in rt.participants.values():
+        assert part.executed_set and part.known_orders == {}
+
+
+def test_a_transaction_run_holds_at_most_1500_live_bytes_per_transaction():
+    # What a run still holds once it is over, per transaction: mostly the
+    # active server's cached responses (about 700 bytes) and the
+    # participants' executed sets.  With every history copied and kept
+    # after execution, and every server log kept whole, this was 2,347
+    # bytes; it is 1,194 now.
+    rt = OrderingRuntime(config_from_dict({
+        "seed": 5, "duration_us": 4_000_000, "num_client_nodes": 8,
+        "num_order_servers": 3,
+        "network": {"delay": {"family": "lognormal", "median_us": 5000,
+                              "sigma": 0.5}},
+        "workload": {"kind": "transactions", "arrival_rate_per_s": 600.0,
+                     "participant_count_dist": 3, "ordering": "SERVICE"}}))
+    rt.engine.run_until(1)  # one-time caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rt.engine.run_until(rt.cfg.duration_us)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(tx.done_us >= 0 for tx in rt.txs.values())
+    assert grown <= 1500 * len(rt.txs)
 
 
 def test_broadcast_runtime_with_drops_stays_consistent():
