@@ -154,9 +154,13 @@ def validate_config(cfg: ScenarioConfig):
             raise ConfigInvalidError(f"{name} must be positive, got {value}")
 
     positive("duration_us", cfg.duration_us)
-    for name in ("theta_us", "epsilon_us", "safety_margin_us", "eta_us"):
+    for name in ("epsilon_us", "safety_margin_us", "eta_us"):
         if getattr(cfg, name) < 0:
             raise ConfigInvalidError(f"{name} must be non-negative")
+    # a timer re-armed after zero time would keep simulated time from moving
+    positive("theta_us", cfg.theta_us)
+    positive("heartbeat_interval_us", cfg.heartbeat_interval_us)
+    positive("workload.request_timeout_us", cfg.workload.request_timeout_us)
     positive("view_install_delay_us", cfg.view_install_delay_us)
     positive("resync_interval_us", cfg.resync_interval_us)
     positive("window_size", cfg.window_size)

@@ -41,6 +41,14 @@ class DelayBoundConfig:
             raise ValueError(f"percentile must be in (0,1), got {self.percentile}")
 
 
+def nearest_rank(sorted_values, q: float):
+    """Nearest-rank quantile: 1-based index ceil(q*n) of a non-empty
+    sorted sequence, clamped to [1, n]."""
+    n = len(sorted_values)
+    rank = -(-int(q * n * 10**9) // 10**9)  # ceil without float fuzz at integers
+    return sorted_values[min(max(rank, 1), n) - 1]
+
+
 class DelayDistribution:
     """Bounded FIFO window of observed delays with an exact sorted mirror.
 
@@ -82,15 +90,12 @@ class DelayDistribution:
         return self._fifo[head:].tolist() + self._fifo[:head].tolist()
 
     def quantile(self, q: float) -> int:
-        """Nearest-rank quantile: 1-based index ceil(q*n) of the sorted window."""
-        n = len(self._sorted)
-        if n == 0:
+        """Nearest-rank quantile of the window (see ``nearest_rank``)."""
+        if not self._sorted:
             raise EmptyWindowError("quantile of empty window")
         if not (0.0 < q <= 1.0):
             raise ValueError(f"quantile fraction must be in (0,1], got {q}")
-        rank = -(-int(q * n * 10**9) // 10**9)  # ceil without float fuzz at integers
-        rank = min(max(rank, 1), n)
-        return self._sorted[rank - 1]
+        return nearest_rank(self._sorted, q)
 
 
 def estimate_worst_case(dist: DelayDistribution, cfg: DelayBoundConfig) -> int:

@@ -12,12 +12,14 @@ every member's promise watermark exceeds its timestamp, so no
 earlier-timestamped message can still appear.  When a member crashes and
 stays silent, delivery stalls: that blocking is the phenomenon this
 module deliberately models.
+
+The core keeps a message's id and timestamp only while it is pending.
+It does not screen duplicates: the caller admits each message once.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Optional
 
 MsgId = tuple  # (sender, seq)
@@ -25,13 +27,6 @@ MsgId = tuple  # (sender, seq)
 
 def msg_id_str(msg_id: MsgId) -> str:
     return f"{msg_id[0]}:{msg_id[1]}"
-
-
-@dataclass(frozen=True)
-class GmdMessage:
-    msg_id: MsgId
-    ts: int
-    payload: object = None
 
 
 class GmdNodeState:
@@ -43,9 +38,6 @@ class GmdNodeState:
         self.hybrid_clock = 0
         self.pending: dict[MsgId, int] = {}  # msg_id -> ts
         self.delivered: list[MsgId] = []  # every delivery, in order
-        # msg_id -> ts of a delivered message; insurance.py's stability GC
-        # drops the entries of messages that every member holds
-        self.delivered_ts: dict[MsgId, int] = {}
         # largest timestamp seen from each member: the promise watermark
         self.promise: dict[int, int] = {m: 0 for m in self.membership}
         # each member's newest ack: (promise, seen)
@@ -65,27 +57,21 @@ class GmdNodeState:
 
     # -- receive path ------------------------------------------------------
 
-    def known(self, msg_id: MsgId) -> bool:
-        return msg_id in self.pending or msg_id in self.delivered_ts
-
-    def add_own(self, msg: GmdMessage):
+    def add_own(self, msg_id: MsgId, ts: int):
         """Register the sender's own broadcast (its ts is its own promise)."""
-        self._admit(msg)
+        self._admit(msg_id, ts)
 
-    def _admit(self, msg: GmdMessage):
-        self.pending[msg.msg_id] = msg.ts
-        heapq.heappush(self._order, (msg.ts, msg.msg_id[0], msg.msg_id[1]))
-        self.note_timestamp(msg.msg_id[0], msg.ts)
+    def _admit(self, msg_id: MsgId, ts: int):
+        self.pending[msg_id] = ts
+        heapq.heappush(self._order, (ts, msg_id[0], msg_id[1]))
+        self.note_timestamp(msg_id[0], ts)
 
-    def on_receive(self, msg: GmdMessage, clock_reading: int) -> Optional[int]:
-        """Admit a foreign broadcast; returns the promise for its ack, None
-        if duplicate.  A message whose ``delivered_ts`` entry was dropped
-        is no longer known here: the caller screens it out."""
-        if self.known(msg.msg_id):
-            return None
-        self._admit(msg)
-        if msg.ts > self.hybrid_clock:
-            self.hybrid_clock = msg.ts
+    def on_receive(self, msg_id: MsgId, ts: int, clock_reading: int) -> int:
+        """Admit a foreign broadcast the caller has not admitted before;
+        returns the promise for its ack."""
+        self._admit(msg_id, ts)
+        if ts > self.hybrid_clock:
+            self.hybrid_clock = ts
         return self.new_promise(clock_reading)
 
     def new_promise(self, clock_reading: int) -> int:
@@ -129,10 +115,9 @@ class GmdNodeState:
 
     def deliver_head(self) -> MsgId:
         mid = self.head()
-        ts = self.pending.pop(mid)
+        del self.pending[mid]
         heapq.heappop(self._order)
         self.delivered.append(mid)
-        self.delivered_ts[mid] = ts
         return mid
 
     def try_deliver(self) -> list[MsgId]:

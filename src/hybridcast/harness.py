@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass, field, asdict
 
 from .config import ScenarioConfig, config_from_dict
+from .delays import nearest_rank
 from .errors import ConfigInvalidError, IncompleteTraceError
 from .kernel import _mix
 from .oracle import CaseIndex, OrderIndex
@@ -54,20 +55,14 @@ class RunResult:
             fh.write("\n")
 
 
-def _nearest_rank(sorted_values, q: float):
-    n = len(sorted_values)
-    if n == 0:
-        return 0
-    rank = min(max(-(-int(q * n * 10**9) // 10**9), 1), n)
-    return sorted_values[rank - 1]
-
-
 def latency_percentiles(latencies) -> dict:
     ordered = sorted(latencies)
+    if not ordered:
+        return {"p50_us": 0, "p99_us": 0, "p999_us": 0}
     return {
-        "p50_us": _nearest_rank(ordered, 0.50),
-        "p99_us": _nearest_rank(ordered, 0.99),
-        "p999_us": _nearest_rank(ordered, 0.999),
+        "p50_us": nearest_rank(ordered, 0.50),
+        "p99_us": nearest_rank(ordered, 0.99),
+        "p999_us": nearest_rank(ordered, 0.999),
     }
 
 

@@ -30,16 +30,18 @@ earlier-timestamped message.  In HYBRID_ON_SUSPICION the heartbeat is
 the node's ack record with a fresh promise, so a lost ack is replaced
 within one heartbeat interval.
 
-Per message a node keeps its ``store`` entry (the arriving
-``InsuranceMessage`` itself, shared by every receiver), a bitmask in
-``arrival_forms`` of the forms its copies arrived in, and its timestamp
-in ``gmd.delivered_ts`` once delivered.  Stability GC (Birman, Schiper
-and Stephenson, TOCS 1991) drops all three once the node has delivered
-the message, its seq is below the sender's contiguous watermark, every
-member's newest vector covers it (the sender's need not: it holds its
-own) and no timer will still send it; see ``_collect``.  A copy that
-arrives later is a duplicate, since its seq is below the sender's
-collection floor.  Only the id stays, in ``gmd.delivered``.
+Per message a node keeps one record, its ``store`` entry: the first
+copy to arrive (the ``InsuranceMessage`` itself, shared by every
+receiver), or its own broadcast.  While the message is undelivered, the
+GMD core also holds its timestamp in ``gmd.pending``.  Every copy is
+screened here before the core sees it, so the core admits each message
+once.  Stability GC (Birman, Schiper and Stephenson, TOCS 1991) drops
+the ``store`` entry once the node has delivered the message, its seq is
+below the sender's contiguous watermark, every member's newest vector
+covers it (the sender's need not: it holds its own) and no timer will
+still send it; see ``_collect``.  A copy that arrives later is a
+duplicate, since its seq is below the sender's collection floor.  Only
+the id stays, in ``gmd.delivered``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .delays import DelayBoundConfig, DelayEstimator, compute_D
-from .gmd import GmdMessage, GmdNodeState, msg_id_str
+from .gmd import GmdNodeState, msg_id_str
 
 MODE_GMD_ONLY = "GMD_ONLY"
 MODE_HYBRID = "HYBRID"
@@ -107,8 +109,6 @@ class InsuranceNode:
             safety_margin_us=params.safety_margin_us)
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
-        # (sender, seq) -> bitmask of the forms its copies arrived in
-        self.arrival_forms: dict[tuple, int] = {}
         self.contig: dict[int, int] = {}
         # sender -> lowest seq not yet collected; every seq below it was
         # delivered here and is held by every member
@@ -169,7 +169,7 @@ class InsuranceNode:
         msg = InsuranceMessage(mid, ts, d_i, 1, payload=payload, sent_ts=ts)
         self.store[mid] = msg
         self._note_seq(self.node_id, mid[1], self.node_id)
-        self.gmd.add_own(GmdMessage(mid, ts, payload))
+        self.gmd.add_own(mid, ts)
         if self.insured_active():
             self._arm_deadline(mid, ts, d_i)
         self.engine.trace.add(self.engine.now, self.node_id, "BCAST",
@@ -260,16 +260,12 @@ class InsuranceNode:
         if msg.relayed_by is not None and msg.relayed_by != self.node_id:
             # someone else is already relaying: suppress our own relay
             self._cancel(("second", mid))
-        # one bit per (copy 1 or 2, straight or relayed)
-        form = 1 << (2 * msg.copy_index - 2 + (msg.relayed_by is not None))
         if mid[1] < self._floor.get(mid[0], 0):
             pass  # collected: every member holds it, so this is a duplicate
         elif mid not in self.store:
             self.store[mid] = msg  # shared by every receiver
-            self.arrival_forms[mid] = form
             self._note_seq(mid[0], mid[1], frm)
-            promise = self.gmd.on_receive(GmdMessage(mid, msg.ts, msg.payload),
-                                          self.clock())
+            promise = self.gmd.on_receive(mid, msg.ts, self.clock())
             if msg.relayed_by is None and self.mode != MODE_GMD_ONLY:
                 p = self.params
                 wait = p.eta_us + (self._relay_rank(mid[0]) + 1) * p.theta_us
@@ -282,12 +278,9 @@ class InsuranceNode:
             if self.insured_active():
                 self._arm_deadline(mid, msg.ts, msg.d_i)
             self._send_ack(msg_id_str(mid), promise)
-        else:
-            forms = self.arrival_forms.get(mid, 0)
-            if forms and not forms & form:
-                # the other copy (or a relay) arrived: sender is not stuck
-                self._cancel(("second", mid))
-            self.arrival_forms[mid] = forms | form
+        elif msg.copy_index != self.store[mid].copy_index:
+            # the other copy arrived: the sender is not stuck
+            self._cancel(("second", mid))
         self._try_deliver()
 
     def _apply_ack(self, frm: int, ack: InsuranceAck):
@@ -383,18 +376,18 @@ class InsuranceNode:
     # -- proactive relay ---------------------------------------------------
 
     def _relay(self, mid: tuple):
-        held = self.store.get(mid)
-        forms = self.arrival_forms.get(mid, 0)
-        if held is None or forms & (forms - 1):  # two forms or more arrived
-            return
-        self._send_copy(replace(held, copy_index=1, relayed_by=self.node_id,
-                                sent_ts=self.clock()))
+        """Relay a message whose ``second`` timer fired.  Only one straight
+        copy of it arrived, since a relay or the other copy cancels the
+        timer, and ``_collect`` keeps the message while the timer is
+        armed."""
+        self._send_copy(replace(self.store[mid], copy_index=1,
+                                relayed_by=self.node_id, sent_ts=self.clock()))
         self._set_timer(("relay2", mid), self.params.eta_us)
 
     # -- deadlines and delivery --------------------------------------------
 
     def _arm_deadline(self, mid: tuple, ts: int, sender_d: int):
-        if mid in self.deadlines or mid in self.gmd.delivered_ts:
+        if mid in self.deadlines:
             return
         d = max(sender_d, self.current_d())
         bound = compute_D(d, self.bound_cfg)
@@ -434,8 +427,7 @@ class InsuranceNode:
                     return True
         return False
 
-    def _try_deliver(self) -> list[tuple]:
-        out = []
+    def _try_deliver(self):
         while True:
             mid = self.gmd.head()
             if mid is None:
@@ -446,16 +438,15 @@ class InsuranceNode:
             if self._gap_blocks(m_ts):
                 break
             if self.gmd.head_deliverable():
-                out.append(self._deliver(mid, GMD_PATH))
+                self._deliver(mid, GMD_PATH)
                 continue
             deadline = self.deadlines.get(mid)
             if deadline is not None and self.clock() >= deadline:
-                out.append(self._deliver(mid, DEADLINE_PATH))
+                self._deliver(mid, DEADLINE_PATH)
                 continue
             break
-        return out
 
-    def _deliver(self, mid: tuple, path: str) -> tuple:
+    def _deliver(self, mid: tuple, path: str):
         ts = self.gmd.pending[mid]
         self.gmd.deliver_head()
         deadline = self.deadlines.pop(mid, None)
@@ -465,18 +456,19 @@ class InsuranceNode:
         self.engine.trace.add(self.engine.now, self.node_id, "DELIVER",
                               msg_id_str(mid), fields)
         self._collect(mid[0])
-        return mid
 
     def _collect(self, sender: int):
         """Stability GC: drop ``sender``'s messages that every member holds.
 
-        A message goes from ``store``, ``arrival_forms`` and
-        ``gmd.delivered_ts`` once this node has delivered it, its seq is
-        below ``contig[sender]`` (``_gap_blocks`` reads the ts below a
-        hole from the entry at ``contig``), the newest vector of every
-        current member but the sender (which holds its own messages)
-        covers it, and no ``copy2``, ``second`` or ``relay2`` timer will
-        still send it.  Collection runs up from ``_floor[sender]`` and
+        A node keeps one record per message, its ``store`` entry; while the
+        message is undelivered, ``gmd.pending`` holds its timestamp too,
+        so an entry at or above ``_floor`` that is not pending has been
+        delivered.  The entry goes once this node has delivered the
+        message, its seq is below ``contig[sender]`` (``_gap_blocks``
+        reads the ts below a hole from the entry at ``contig``), the
+        newest vector of every current member but the sender (which holds
+        its own messages) covers it, and no ``copy2``, ``second`` or
+        ``relay2`` timer will still send it.  Collection runs up from ``_floor[sender]`` and
         stops at the first message that fails.  A member asks for a
         retransmission only before it holds the message, and its request
         travels the same FIFO link ahead of the vector that covers it, so
@@ -493,17 +485,14 @@ class InsuranceNode:
                 if mark < limit:
                     limit = mark
         q = self._floor.get(sender, 0)
-        store, forms, timers = self.store, self.arrival_forms, self._timers
-        delivered_ts = self.gmd.delivered_ts
+        store, pending, timers = self.store, self.gmd.pending, self._timers
         while q <= limit:
             mid = (sender, q)
-            if (mid not in delivered_ts or ("copy2", mid) in timers
+            if (mid in pending or ("copy2", mid) in timers
                     or ("second", mid) in timers
                     or ("relay2", mid) in timers):
                 break
             del store[mid]
-            forms.pop(mid, None)
-            del delivered_ts[mid]
             q += 1
         self._floor[sender] = q
 

@@ -70,14 +70,12 @@ class NetworkModel:
 
 @dataclass
 class NodeClock:
-    """Local clock with true offset, ppm drift and believed accuracy."""
+    """Local clock with true offset and ppm drift since its last sync."""
 
     node_id: int
     offset_us: int = 0
     drift_ppm: int = 0
-    epsilon_us: int = 0
     last_sync_us: int = 0
-    synchronized: bool = True
 
     def read(self, true_now_us: int) -> int:
         elapsed = true_now_us - self.last_sync_us
@@ -218,12 +216,9 @@ class Engine:
                 estimate = ref_read + half
                 clock.offset_us = estimate - self.now
                 clock.last_sync_us = self.now
-                clock.epsilon_us = half
-                clock.synchronized = True
                 self.trace.add(self.now, node_id, "SYNC", "",
                                {"eps": half, "attempts": attempt})
                 return half
-        clock.synchronized = False
         self.trace.add(self.now, node_id, "SYNC_FAIL", "",
                        {"bound": bound_us, "attempts": max_attempts})
         raise SyncFailedError(node_id, bound_us, max_attempts)

@@ -37,12 +37,25 @@ def _make_clock(cfg: ScenarioConfig, node_id: int, rng: random.Random,
                 is_reference: bool) -> NodeClock:
     cc = cfg.clock
     if is_reference or (cc.init_offset_max_us == 0 and cc.drift_ppm_max == 0):
-        return NodeClock(node_id, epsilon_us=cfg.epsilon_us)
+        return NodeClock(node_id)
     return NodeClock(
         node_id,
         offset_us=rng.randint(-cc.init_offset_max_us, cc.init_offset_max_us),
-        drift_ppm=rng.randint(-cc.drift_ppm_max, cc.drift_ppm_max),
-        epsilon_us=cfg.epsilon_us)
+        drift_ppm=rng.randint(-cc.drift_ppm_max, cc.drift_ppm_max))
+
+
+def _arrival_times(cfg: ScenarioConfig, rng: random.Random):
+    """The workload's Poisson arrival times, in integer us, until the load
+    stops.  A caller's own draws for an arrival go right after it is
+    yielded, before the next gap is drawn."""
+    horizon = max(0, cfg.duration_us - cfg.workload.stop_margin_us)
+    mean_gap_us = 1e6 / cfg.workload.arrival_rate_per_s
+    t = 0.0
+    while True:
+        t += rng.expovariate(1.0 / mean_gap_us)
+        if t >= horizon:
+            return
+        yield int(t)
 
 
 class AbcastRuntime:
@@ -90,7 +103,7 @@ class AbcastRuntime:
                         node.node_id, 0, self.cfg.clock.sync_bound_us,
                         self.cfg.clock.sync_max_attempts)
                 except SyncFailedError:
-                    pass  # node keeps its old accuracy; policy is protocol-level
+                    pass  # traced as SYNC_FAIL; deadlines keep epsilon_us
                 self.engine.set_timer(node.node_id,
                                       self.cfg.resync_interval_us, ("resync",))
             else:
@@ -98,19 +111,10 @@ class AbcastRuntime:
         return handler
 
     def _schedule_workload(self):
-        cfg = self.cfg
         rng = self.engine.rng_workload
-        horizon = max(0, cfg.duration_us - cfg.workload.stop_margin_us)
-        mean_gap_us = 1e6 / cfg.workload.arrival_rate_per_s
-        t = 0.0
-        i = 0
-        while True:
-            t += rng.expovariate(1.0 / mean_gap_us)
-            if t >= horizon:
-                break
+        for i, t in enumerate(_arrival_times(self.cfg, rng)):
             sender = rng.randrange(len(self.membership))
-            self.engine.set_timer_at(sender, int(t), ("client", i))
-            i += 1
+            self.engine.set_timer_at(sender, t, ("client", i))
 
     def _schedule_faults(self):
         cfg = self.cfg
@@ -182,24 +186,15 @@ class OrderingRuntime:
     # -- workload ------------------------------------------------------------
 
     def _schedule_workload(self):
-        cfg = self.cfg
         rng = self.engine.rng_workload
-        horizon = max(0, cfg.duration_us - cfg.workload.stop_margin_us)
-        mean_gap_us = 1e6 / cfg.workload.arrival_rate_per_s
-        k = min(cfg.workload.participant_count_dist, len(self.clients))
-        t = 0.0
-        i = 0
-        while True:
-            t += rng.expovariate(1.0 / mean_gap_us)
-            if t >= horizon:
-                break
+        k = min(self.cfg.workload.participant_count_dist, len(self.clients))
+        for i, t in enumerate(_arrival_times(self.cfg, rng)):
             host = rng.randrange(len(self.clients))
             others = [c for c in self.clients if c != host]
             group = tuple([host] + sorted(rng.sample(others, k - 1)))
             tx_id = f"tx{i}"
-            self.txs[tx_id] = _TxState(tx_id, host, group, int(t))
-            self.engine.set_timer_at(host, int(t), ("tx", tx_id))
-            i += 1
+            self.txs[tx_id] = _TxState(tx_id, host, group, t)
+            self.engine.set_timer_at(host, t, ("tx", tx_id))
 
     def _schedule_faults(self):
         for entry in self.cfg.crash_schedule:

@@ -48,6 +48,23 @@ def test_range_violations_are_invalid_not_parse_errors():
             config_from_dict(bad)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("theta_us", dict(MINIMAL, theta_us=0)),
+    ("heartbeat_interval_us", dict(MINIMAL, heartbeat_interval_us=0)),
+    ("workload.request_timeout_us",
+     dict(MINIMAL, workload={"request_timeout_us": 0})),
+])
+def test_zero_timer_intervals_are_invalid(field, bad):
+    # each re-arms a timer at the current instant, so the run never ends
+    with pytest.raises(ConfigInvalidError, match=f"{field} must be positive"):
+        config_from_dict(bad)
+
+
+def test_zero_eta_and_safety_margin_stay_valid():
+    cfg = config_from_dict(dict(MINIMAL, eta_us=0, safety_margin_us=0))
+    assert (cfg.eta_us, cfg.safety_margin_us) == (0, 0)
+
+
 def test_delay_spec_field_checking():
     with pytest.raises(ConfigParseError):
         config_from_dict(dict(MINIMAL, network={"delay": {"family": "fixed"}}))

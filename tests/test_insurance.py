@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from hybridcast import gmd, insurance
 from hybridcast.config import config_from_dict
 from hybridcast.delays import compute_D
 from hybridcast.gmd import msg_id_str
@@ -423,8 +426,7 @@ def test_a_late_copy_of_a_collected_message_changes_nothing():
     mids = [first] + broadcast_every_10ms(eng, nodes[0], 3)
     node = nodes[2]
     assert first not in node.store
-    assert first not in node.arrival_forms
-    assert first not in node.gmd.delivered_ts
+    assert first not in node.gmd.pending
     acks = eng.send_counts["INS_ACK"]
     late = InsuranceMessage(first, held.ts, held.d_i, 2, relayed_by=1,
                             sent_ts=nodes[1].clock())
@@ -433,7 +435,7 @@ def test_a_late_copy_of_a_collected_message_changes_nothing():
     eng.run_until(1_000_000)
     assert delivered(node) == mids  # not delivered a second time
     assert eng.send_counts["INS_ACK"] == acks  # and not acked again
-    assert first not in node.store and first not in node.arrival_forms
+    assert first not in node.store and first not in node.gmd.pending
 
 
 def test_retx_request_for_a_held_message_above_the_floor_is_answered():
@@ -451,7 +453,8 @@ def test_retx_request_for_a_held_message_above_the_floor_is_answered():
     eng.send = requests_lost_until_60ms
     mids = broadcast_every_10ms(eng, nodes[0], 6)
     for node in (nodes[0], nodes[1]):
-        assert mids[4] in node.gmd.delivered_ts
+        # delivered and still held
+        assert mids[4] in node.store and mids[4] not in node.gmd.pending
         assert node._floor[0] == 3 and (0, 3) in node.store
     eng.run_until(1_000_000)
     assert [s for s in sent if s[2:5] == (2, "INS_RELAY", "0:3")]
@@ -469,12 +472,13 @@ def test_held_messages_stay_bounded_over_a_run():
     rt = AbcastRuntime(cfg)
 
     def mean_held(start_us, end_us):
-        """Means over 50 ms samples of all nodes' store and delivered_ts."""
+        """Means over 50 ms samples of all nodes' held messages, and of
+        those already delivered."""
         totals = []
         for t in range(start_us + 50_000, end_us + 1, 50_000):
             rt.engine.run_until(t)
             totals.append((sum(len(n.store) for n in rt.nodes.values()),
-                           sum(len(n.gmd.delivered_ts)
+                           sum(len(n.store) - len(n.gmd.pending)
                                for n in rt.nodes.values())))
         return [sum(column) / len(totals) for column in zip(*totals)]
 
@@ -485,3 +489,43 @@ def test_held_messages_stay_bounded_over_a_run():
     assert rt.messages_total > 1500
     for late, early in zip(second_8, second_2):
         assert late <= 1.2 * early
+
+
+def test_a_crash_interim_costs_under_185_bytes_per_held_message():
+    """A crashed member that is still in the view stops its vector, so
+    the live nodes collect nothing and hold every message from then on.
+    Per held message, the node state (what insurance.py and gmd.py
+    allocate) grows by its store entry, its pending entry until delivery,
+    and the delivery and timer bookkeeping around them.  This run
+    measures 145 bytes per held message; when an arrival-form bitmask, a
+    delivered-timestamp map and a GmdMessage per arrival sat beside the
+    store entry, it measured 226."""
+    cfg = config_from_dict({
+        "seed": 1, "duration_us": 5_000_000, "mode": MODE_HYBRID,
+        "num_client_nodes": 5,
+        "network": {"delay": {"family": "lognormal", "median_us": 5000,
+                              "sigma": 0.5},
+                    "drop_prob": 0.01},
+        "crash_schedule": [{"node": 4, "at_us": 500_000}],
+        "view_install_delay_us": 60_000_000,
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0}})
+    rt = AbcastRuntime(cfg)
+    live = [node for node_id, node in rt.nodes.items() if node_id != 4]
+    filters = [tracemalloc.Filter(True, module.__file__)
+               for module in (insurance, gmd)]
+
+    def held_and_snapshot():
+        return (sum(len(node.store) for node in live),
+                tracemalloc.take_snapshot().filter_traces(filters))
+
+    rt.engine.run_until(1_000_000)
+    tracemalloc.start()
+    try:
+        held_before, before = held_and_snapshot()
+        rt.engine.run_until(4_000_000)
+        held_after, after = held_and_snapshot()
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert held_after - held_before > 1500
+    assert grown / (held_after - held_before) < 185

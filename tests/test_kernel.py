@@ -163,28 +163,28 @@ class TestClockSync:
         assert half == 100
         # one fixed-delay round trip gives a perfect estimate
         assert eng.read_clock(1) == eng.read_clock(0)
-        assert eng.clocks[1].epsilon_us == 100
+        (sync,) = eng.trace.of_kind("SYNC")
+        assert sync.detail_dict()["eps"] == "100"
 
-    def test_sync_failure_marks_unsynchronized(self):
+    def test_sync_failure_is_traced_and_leaves_the_clock(self):
         eng = make_engine(delay=DelaySpec("fixed", value_us=1000))
         eng.add_node(0)
         eng.add_node(1, clock=NodeClock(1, offset_us=777))
         with pytest.raises(SyncFailedError):
             eng.sync_clock_probabilistic(1, 0, bound_us=10, max_attempts=4)
-        assert not eng.clocks[1].synchronized
+        assert eng.clocks[1] == NodeClock(1, offset_us=777)
         kinds = [r.event_kind for r in eng.trace]
         assert kinds == ["SYNC_FAIL"]
 
     def test_crashed_reference_is_a_failed_sync(self):
         eng = make_engine(delay=DelaySpec("fixed", value_us=100))
         eng.add_node(0)
-        eng.add_node(1, clock=NodeClock(1, offset_us=777, epsilon_us=300))
+        eng.add_node(1, clock=NodeClock(1, offset_us=777))
         eng.schedule_crash(0, 10)
         eng.run_until(20)
         with pytest.raises(SyncFailedError):
             eng.sync_clock_probabilistic(1, 0, bound_us=200, max_attempts=3)
-        assert eng.clocks[1].epsilon_us == 300  # the old accuracy stays
-        assert eng.clocks[1].offset_us == 777
+        assert eng.clocks[1] == NodeClock(1, offset_us=777)  # untouched
         assert [r.event_kind for r in eng.trace] == ["CRASH", "SYNC_FAIL"]
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hybridcast.config import config_from_dict
 from hybridcast.delays import DelayBoundConfig, DelayDistribution, compute_D
-from hybridcast.gmd import GmdMessage, GmdNodeState
+from hybridcast.gmd import GmdNodeState
 from hybridcast.harness import run_scenario
 from hybridcast.insurance import InsuranceNode, ProtocolParams
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
@@ -125,15 +125,15 @@ def test_delivered_prefix_respects_promises(steps):
     def arrive(m, item):
         if item[0] == "msg":
             _, seq, ts = item
-            assert all(ts > node.delivered_ts[d] for d in node.delivered)
-            node.on_receive(GmdMessage((m, seq), ts), 0)
+            assert all(ts > sent[d[0]][d[1]] for d in node.delivered)
+            node.on_receive((m, seq), ts, 0)
         else:
             node.on_ack(m, item[1], item[2])
         node.try_deliver()
-        delivered_ts = [node.delivered_ts[d] for d in node.delivered]
+        delivered_ts = [sent[d[0]][d[1]] for d in node.delivered]
         assert delivered_ts == sorted(delivered_ts)
         for d in node.delivered:
-            assert all(node.promise[p] > node.delivered_ts[d]
+            assert all(node.promise[p] > sent[d[0]][d[1]]
                        for p in members if p != d[0])
             assert all(node.acks[p][1].get(d[0], -1) >= d[1]
                        for p in members if p not in (0, d[0]))
@@ -144,7 +144,7 @@ def test_delivered_prefix_respects_promises(steps):
         if m == 0:
             if bcast:
                 ts = node.assign_timestamp(k)
-                node.add_own(GmdMessage((0, len(sent[0])), ts))
+                node.add_own((0, len(sent[0])), ts)
                 sent[0].append(ts)
             continue
         if bcast:
