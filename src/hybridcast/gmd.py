@@ -42,7 +42,7 @@ class GmdNodeState:
         self.promise: dict[int, int] = {m: 0 for m in self.membership}
         # each member's newest ack: (promise, seen)
         self.acks: dict[int, tuple] = {}
-        self._order: list = []  # heap of (ts, sender, seq)
+        self._order: list = []  # heap of (ts, sender, seq, msg_id)
 
     # -- timestamps --------------------------------------------------------
 
@@ -63,7 +63,7 @@ class GmdNodeState:
 
     def _admit(self, msg_id: MsgId, ts: int):
         self.pending[msg_id] = ts
-        heapq.heappush(self._order, (ts, msg_id[0], msg_id[1]))
+        heapq.heappush(self._order, (ts, msg_id[0], msg_id[1], msg_id))
         self.note_timestamp(msg_id[0], ts)
 
     def on_receive(self, msg_id: MsgId, ts: int, clock_reading: int) -> int:
@@ -89,11 +89,11 @@ class GmdNodeState:
     # -- delivery ----------------------------------------------------------
 
     def head(self) -> Optional[MsgId]:
-        # _admit and deliver_head change pending and _order together
+        # _admit and deliver_head change pending and _order together; the
+        # heap entry holds the caller's id, so delivery shares it
         if not self._order:
             return None
-        _, sender, seq = self._order[0]
-        return (sender, seq)
+        return self._order[0][3]
 
     def head_deliverable(self) -> bool:
         mid = self.head()

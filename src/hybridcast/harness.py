@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, asdict
+from typing import Optional
 
 from .config import ScenarioConfig, config_from_dict
 from .delays import nearest_rank
@@ -45,7 +46,15 @@ class RunResult:
     config: ScenarioConfig
     metrics: RunMetrics
     trace: object
-    delivered: dict  # node -> ordered list of msg_id strings (broadcast runs)
+    deliveries: Optional[OrderIndex] = None  # broadcast runs
+    members: tuple = ()  # the nodes ``delivered`` lists
+
+    @property
+    def delivered(self) -> dict:
+        """node -> ordered list of msg_id strings (empty for transactions)."""
+        if self.deliveries is None:
+            return {}
+        return self.deliveries.sequences(self.members)
 
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -120,12 +129,12 @@ def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:
     if cfg.crash_schedule:
         crash_at = min(e["at_us"] for e in cfg.crash_schedule)
         crashed = {e["node"] for e in cfg.crash_schedule}
-        per_node = {n: delivered.times.get(n, []) for n in rt.membership
+        per_node = {n: delivered.times(n) for n in rt.membership
                     if n not in crashed}
         metrics.blocked_interval_us = blocked_interval(
             per_node, crash_at, cfg.duration_us)
-    orders = {n: delivered.ids.get(n, []) for n in rt.membership}
-    return RunResult(cfg, metrics, rt.engine.trace, orders)
+    return RunResult(cfg, metrics, rt.engine.trace, delivered,
+                     tuple(rt.membership))
 
 
 def _run_transactions(cfg: ScenarioConfig, rt: OrderingRuntime) -> RunResult:
@@ -147,7 +156,7 @@ def _run_transactions(cfg: ScenarioConfig, rt: OrderingRuntime) -> RunResult:
     if len(rt.engine.trace) == 0:
         raise IncompleteTraceError("empty trace")
     metrics.order_violations = len(executed.violations())
-    return RunResult(cfg, metrics, rt.engine.trace, {})
+    return RunResult(cfg, metrics, rt.engine.trace)
 
 
 def derive_seed(base_seed: int, index: int) -> int:

@@ -8,6 +8,8 @@ file as a script (``python tests/test_digests.py``) to print the
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -123,6 +125,23 @@ def output_digests(name, out_dir) -> tuple:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_output_digests(name, tmp_path):
     assert output_digests(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_digests_hold_under_another_hash_seed(hash_seed, tmp_path):
+    # string hashing is salted per process, so only a fresh interpreter
+    # shows whether any output depends on set or dict order of strings
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                           str(tests)]))
+    code = ("import sys, pathlib, test_digests as d; "
+            "print(*d.output_digests('hybrid', pathlib.Path(sys.argv[1])))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert tuple(proc.stdout.split()) == DIGESTS["hybrid"]
 
 
 if __name__ == "__main__":

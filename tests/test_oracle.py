@@ -1,4 +1,8 @@
+import math
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hybridcast.errors import IncompleteTraceError
 from hybridcast.oracle import (
@@ -6,6 +10,8 @@ from hybridcast.oracle import (
     CASE_2,
     GMD_ORDERED,
     CaseIndex,
+    OrderIndex,
+    OrderViolation,
     case_statistics,
     check_total_order,
     classify_case,
@@ -145,3 +151,278 @@ class TestCaseClassification:
         t.add(70, 1, "INS_MSG", "0:3", {"ts": 10, "seq": 3, "copy": 1, "frm": 0})
         idx = CaseIndex(t)
         assert idx.first_knowledge("0:3", 1) == 40
+
+    def test_an_id_without_a_seq_is_known_only_directly(self):
+        # no seen-vector covers such an id, however high its marks
+        t = Trace()
+        bcast(t, 0, 0, "a", 10)
+        t.add(20, 1, "INS_ACK", "0:0", {"frm": 1, "ats": 21, "seen": {0: 99}})
+        t.add(50, 1, "INS_MSG", "a", {"ts": 10, "copy": 1, "frm": 0})
+        deliver(t, 60, 1, "a", 10, path="DEADLINE_PATH")
+        deliver(t, 70, 0, "a", 10)
+        idx = CaseIndex(t)
+        assert idx.first_knowledge("a", 1) == 50
+        assert idx.first_knowledge("a", 2) == math.inf
+        assert case_statistics(t)["case1_count"] == 1
+        assert classify_case(t, "a", 0) == GMD_ORDERED
+
+
+def feed_synthetic_run(add, nodes, messages):
+    """Per (message, node) pair a copy, an ack and a delivery, as a
+    crash-free all-ack run records them; ids and times are fresh objects
+    per record, as the trace's are."""
+    marks = {}
+    for m in range(messages):
+        sender, seq = m % nodes, m // nodes
+        t = 1000 * m
+        add(t, sender, "BCAST", f"{sender}:{seq}", {"ts": t + 1, "d": 5})
+        for k in range(nodes):
+            if k != sender:
+                add(t + 10 + k, k, "INS_MSG", f"{sender}:{seq}",
+                    {"ts": t + 1, "seq": seq, "copy": 1, "frm": sender})
+        marks[sender] = seq
+        seen = dict(marks)  # one vector per message keeps the feed quick
+        for k in range(nodes):
+            add(t + 30 + k, k, "INS_ACK", f"{sender}:{seq}",
+                {"frm": k, "ats": t + 40, "seen": seen})
+        for k in range(nodes):
+            add(t + 60 + k, k, "DELIVER", f"{sender}:{seq}",
+                {"path": "GMD_PATH", "ts": t + 1})
+
+
+def test_case_index_costs_at_most_100_bytes_per_pair():
+    # A dict of strings per node cost about 340 bytes per pair here; typed
+    # buffers keyed by message number cost about 60.
+    nodes, messages = 12, 4000
+    index = CaseIndex()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        feed_synthetic_run(index.add, nodes, messages)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert index.statistics()["gmd_ordered"] == nodes * messages
+    assert grown <= 100 * nodes * messages
+
+
+# -- the compact indexes against a plain reference ---------------------------
+#
+# The reference keeps every record and answers each question by scanning
+# them, straight from the definitions in the oracle's docstrings.
+
+REF_NODES = (0, 1, 2)
+REF_IDS = ("0:0", "0:1", "1:0", "1:1", "2:0", "a", "b:x", "7")
+_DIRECT = ("BCAST", "INS_MSG", "INS_RELAY")
+
+
+def ref_seq(msg_id):
+    """The integer after the first ``:``, or None."""
+    parts = msg_id.split(":")
+    try:
+        return int(parts[1])
+    except (IndexError, ValueError):
+        return None
+
+
+class Reference:
+    def __init__(self, records):
+        self.records = records  # (t, node, kind, msg_id, fields)
+        self.bcast = {mid: (node, f["ts"])
+                      for _, node, kind, mid, f in records if kind == "BCAST"}
+        self.nodes = {r[1] for r in records}
+        self.crashed = {r[1] for r in records if r[2] == "CRASH"}
+
+    def deliveries(self, node, msg_id=None):
+        return [(t, f) for t, n, kind, mid, f in self.records
+                if kind == "DELIVER" and n == node
+                and (msg_id is None or mid == msg_id)]
+
+    def last_path(self, msg_id, node):
+        paths = [f.get("path", "") for _, f in self.deliveries(node, msg_id)]
+        return paths[-1] if paths else None
+
+    def first_knowledge(self, msg_id, node):
+        sender = self.bcast[msg_id][0]
+        seq = ref_seq(msg_id)
+        times = [math.inf]
+        for t, n, kind, mid, f in self.records:
+            if n != node:
+                continue
+            if kind in _DIRECT and mid == msg_id:
+                times.append(t)
+            seen = f.get("seen") if kind == "INS_ACK" else None
+            if seq is not None and seen and seen.get(sender, -math.inf) >= seq:
+                times.append(t)
+        return min(times)
+
+    def classify(self, msg_id, node):
+        if msg_id not in self.bcast:
+            raise IncompleteTraceError(msg_id)
+        ts = self.bcast[msg_id][1]
+        known = self.first_knowledge(msg_id, node)
+        if any(f.get("path") == "DEADLINE_PATH" and t < known and f["ts"] > ts
+               for t, f in self.deliveries(node)):
+            return CASE_2
+        if self.last_path(msg_id, node) == "GMD_PATH":
+            return GMD_ORDERED
+        return CASE_1
+
+    def statistics(self):
+        if not self.bcast:
+            raise IncompleteTraceError("no broadcasts")
+        operative = sorted(self.nodes - self.crashed)
+        cases = [self.classify(mid, n) for mid in self.bcast
+                 for n in operative]
+        total = len(cases)
+        pairs = {(n, mid) for _, n, kind, mid, _ in self.records
+                 if kind == "DELIVER"}
+        paths = [self.last_path(mid, n) for n, mid in pairs]
+        return {
+            "pairs": total,
+            "gmd_ordered": cases.count(GMD_ORDERED),
+            "case1_count": cases.count(CASE_1),
+            "case2_count": cases.count(CASE_2),
+            "case1_rate": cases.count(CASE_1) / total if total else 0.0,
+            "case2_rate": cases.count(CASE_2) / total if total else 0.0,
+            "gmd_path_count": paths.count("GMD_PATH"),
+            "deadline_path_count": paths.count("DEADLINE_PATH"),
+        }
+
+    def undelivered(self, nodes):
+        return sum(1 for n in nodes for mid in self.bcast
+                   if self.last_path(mid, n) is None)
+
+    def latencies(self):
+        """Per sender's own delivery of a message broadcast earlier: its
+        time minus the sender's first direct knowledge of the message."""
+        out = []
+        for i, (t, node, kind, mid, _) in enumerate(self.records):
+            earlier = self.records[:i]
+            if kind != "DELIVER" or not any(
+                    k == "BCAST" and m == mid and n == node
+                    for _, n, k, m, _ in earlier):
+                continue
+            known = min(s for s, n, k, m, _ in earlier
+                        if n == node and m == mid and k in _DIRECT)
+            out.append(t - known)
+        return out
+
+    def violations(self):
+        seqs = {}
+        for t, n, kind, mid, f in self.records:
+            if kind == "DELIVER":
+                seqs.setdefault(n, []).append((mid, f.get("ts")))
+        nodes = sorted(seqs)
+        out = []
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                pos_b = {mid: p for p, (mid, _) in enumerate(seqs[b])}
+                best, prev = -1, None
+                for mid, _ in seqs[a]:
+                    p = pos_b.get(mid)
+                    if p is None:
+                        continue
+                    if p < best:
+                        out.append(OrderViolation(a, b, mid, prev))
+                    else:
+                        best, prev = p, mid
+        for n in nodes:
+            max_ts, prev = -1, None
+            for mid, ts in seqs[n]:
+                if ts is None:
+                    continue
+                if ts < max_ts:
+                    out.append(OrderViolation(n, n, prev, mid))
+                else:
+                    max_ts, prev = ts, mid
+        return out
+
+
+_node = st.sampled_from(REF_NODES)
+_mid = st.sampled_from(REF_IDS)
+_ts = st.integers(min_value=0, max_value=12)
+_deliver = st.tuples(st.just("DELIVER"), _node, _mid,
+                     st.sampled_from(["GMD_PATH", "DEADLINE_PATH", None]),
+                     st.none() | _ts)
+_record = st.one_of(  # deliveries twice as often, so they repeat and cross
+    st.tuples(st.just("BCAST"), _node, _mid, _ts),
+    st.tuples(st.sampled_from(["INS_MSG", "INS_RELAY"]), _node, _mid),
+    st.tuples(st.just("INS_ACK"), _node,
+              st.none() | st.dictionaries(st.integers(0, 2),
+                                          st.integers(-1, 2), min_size=1)),
+    _deliver,
+    _deliver,
+    st.tuples(st.just("CRASH"), _node),
+)
+
+
+@st.composite
+def record_streams(draw):
+    """Records in time order (ties allowed), at most one BCAST per id."""
+    records, broadcast, t = [], set(), 0
+    for rec in draw(st.lists(_record, min_size=10, max_size=60)):
+        t += draw(st.integers(min_value=0, max_value=2))
+        kind, node = rec[0], rec[1]
+        mid, fields = "", {}
+        if kind == "BCAST":
+            mid, fields = rec[2], {"ts": rec[3]}
+            if mid in broadcast:
+                continue
+            broadcast.add(mid)
+        elif kind in ("INS_MSG", "INS_RELAY"):
+            mid = rec[2]
+        elif kind == "INS_ACK":
+            mid = "0:0"
+            fields = {"frm": node} if rec[2] is None else {"seen": rec[2]}
+        elif kind == "DELIVER":
+            mid, path, ts = rec[2], rec[3], rec[4]
+            if path == "DEADLINE_PATH" and ts is None:
+                ts = 0  # a deadline delivery always carries its ts
+            if path is not None:
+                fields["path"] = path
+            if ts is not None:
+                fields["ts"] = ts
+        records.append((t, node, kind, mid, fields))
+    return records
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IncompleteTraceError:
+        return IncompleteTraceError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(record_streams())
+@example([  # node 1 delivers 0:0 again, by another path, after 1:0
+    (0, 0, "BCAST", "0:0", {"ts": 1}),
+    (0, 1, "BCAST", "1:0", {"ts": 2}),
+    (1, 1, "DELIVER", "0:0", {"path": "DEADLINE_PATH", "ts": 1}),
+    (2, 1, "DELIVER", "1:0", {"path": "GMD_PATH", "ts": 2}),
+    (3, 1, "DELIVER", "0:0", {"path": "GMD_PATH", "ts": 1}),
+    (3, 0, "DELIVER", "1:0", {"path": "GMD_PATH", "ts": 2}),
+    (4, 0, "DELIVER", "0:0", {"path": "GMD_PATH"}),
+])
+def test_compact_indexes_match_the_reference(records):
+    index = CaseIndex()
+    order = OrderIndex("DELIVER")
+    for rec in records:
+        index.add(*rec)
+        order.add(*rec)
+    ref = Reference(records)
+    assert _outcome(index.statistics) == _outcome(ref.statistics)
+    probe_nodes = REF_NODES + (9,)  # 9 has no record at all
+    for mid in REF_IDS:
+        for node in probe_nodes:
+            assert (_outcome(index.classify, mid, node)
+                    == _outcome(ref.classify, mid, node)), (mid, node)
+            if mid in ref.bcast:
+                assert (index.first_knowledge(mid, node)
+                        == ref.first_knowledge(mid, node)), (mid, node)
+    assert index.undelivered(probe_nodes) == ref.undelivered(probe_nodes)
+    assert list(index.latencies) == ref.latencies()
+    assert index.delivered.violations() == ref.violations()
+    assert order.violations() == ref.violations()
+    assert len(order) == sum(1 for r in records if r[2] == "DELIVER")

@@ -97,7 +97,8 @@ def test_a_transaction_run_holds_at_most_1500_live_bytes_per_transaction():
     # active server's cached responses (about 700 bytes) and the
     # participants' executed sets.  With every history copied and kept
     # after execution, and every server log kept whole, this was 2,347
-    # bytes; it is 1,194 now.
+    # bytes; it is 1,194 now.  No oracle is attached here; the harness's
+    # EXEC index adds about 130 more.
     rt = OrderingRuntime(config_from_dict({
         "seed": 5, "duration_us": 4_000_000, "num_client_nodes": 8,
         "num_order_servers": 3,
