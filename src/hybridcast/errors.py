@@ -38,10 +38,6 @@ class UnknownTransactionError(HybridcastError):
     """Order forwarded to a node that is not a listed participant."""
 
 
-class NoServersError(HybridcastError):
-    """Every order server has crashed; a request cannot be placed."""
-
-
 class ConfigError(HybridcastError):
     pass
 

@@ -102,7 +102,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     finally:
         # a finished run frees itself by reference counting once dropped
         rt.engine.trace.on_record = None
-        rt.release()
+        rt.engine.release()
 
 
 def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:

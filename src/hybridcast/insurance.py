@@ -26,7 +26,9 @@ starts the timeout at its arrival.  A pending message is delivered
 either by the GMD all-ack rules or once the local clock passes its
 timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
-earlier-timestamped message.  In HYBRID_ON_SUSPICION the heartbeat is
+earlier-timestamped message.  Only the head of the delivery order can
+be delivered, so a node arms one deadline timer, for the head's
+deadline.  In HYBRID_ON_SUSPICION the heartbeat is
 the node's ack record with a fresh promise, so a lost ack is replaced
 within one heartbeat interval.
 
@@ -116,6 +118,7 @@ class InsuranceNode:
         self.gaps: dict[int, set] = {}
         self._open_gaps = 0  # total size of the sets in gaps
         self.deadlines: dict[tuple, int] = {}
+        self._wake_at = 0  # when the pending ("deadline",) timer fires
         self.max_deadline_D = 0
         self.suspected: set[int] = set()
         self.last_heard: dict[int, int] = {}
@@ -234,7 +237,7 @@ class InsuranceNode:
                                         relayed_by=self.node_id,
                                         sent_ts=self.clock()))
         elif tag == "deadline":
-            self._on_deadline_timer(key[1])
+            self._try_deliver()
         elif tag == "retx":
             self._retry_retx(key[1], key[2], data)
         elif tag == "hb":
@@ -395,20 +398,6 @@ class InsuranceNode:
         self.deadlines[mid] = deadline
         if bound > self.max_deadline_D:
             self.max_deadline_D = bound
-        wait = max(0, deadline - self.clock())
-        self._set_timer(("deadline", mid), wait)
-
-    def _on_deadline_timer(self, mid: tuple):
-        deadline = self.deadlines.get(mid)
-        if deadline is None or mid not in self.gmd.pending:
-            return
-        if self.clock() < deadline:
-            self._set_timer(("deadline", mid), deadline - self.clock())
-            return
-        self._try_deliver()
-        if mid in self.gmd.pending:
-            # blocked by a gap or an earlier pending message; poll again
-            self._set_timer(("deadline", mid), self.params.theta_us)
 
     def _gap_blocks(self, m_ts: int) -> bool:
         """Whether a hole may hide a message ordered before ``m_ts``.
@@ -431,7 +420,7 @@ class InsuranceNode:
         while True:
             mid = self.gmd.head()
             if mid is None:
-                break
+                return
             m_ts = self.gmd.pending[mid]
             # a known hole in some sender's sequence may hide a message that
             # must be ordered first, so it blocks both delivery paths
@@ -445,12 +434,23 @@ class InsuranceNode:
                 self._deliver(mid, DEADLINE_PATH)
                 continue
             break
+        # Only the head can be delivered, so one timer wakes this node at
+        # the head's deadline.  A head already past it is held by a hole,
+        # and the copy that fills the hole calls this method again.
+        deadline = self.deadlines.get(mid)
+        if deadline is None:
+            return
+        wait = deadline - self.clock()
+        at = self.engine.now + wait
+        if wait > 0 and (("deadline",) not in self._timers
+                         or at < self._wake_at):
+            self._wake_at = at
+            self._set_timer(("deadline",), wait)
 
     def _deliver(self, mid: tuple, path: str):
         ts = self.gmd.pending[mid]
         self.gmd.deliver_head()
         deadline = self.deadlines.pop(mid, None)
-        self._cancel(("deadline", mid))
         fields = {"path": path, "ts": ts, "clk": self.clock(),
                   "dl": deadline if path == DEADLINE_PATH else None}
         self.engine.trace.add(self.engine.now, self.node_id, "DELIVER",
@@ -516,10 +516,7 @@ class InsuranceNode:
         self.engine.trace.add(self.engine.now, self.node_id, "SUSPECT_CLEAR",
                               "", {"peer": peer})
         if self.mode == MODE_ON_SUSPICION and not self.suspected:
-            for mid in list(self.deadlines):
-                if mid in self.gmd.pending:
-                    del self.deadlines[mid]
-                    self._cancel(("deadline", mid))
+            self.deadlines.clear()  # a delivery drops its own entry
 
     def on_new_view(self, crashed: int):
         self.gmd.remove_member(crashed)

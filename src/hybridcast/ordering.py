@@ -8,9 +8,16 @@ participant start a transaction without waiting for ordering news about
 transactions that cannot precede it (the cascaded-waiting defeat).
 Admission is a plain token bucket per server.
 
+Primary-backup (Budhiraja, Marzullo, Schneider and Toueg, 1993): the
+active server notes each assignment to its peers, and a backup mirrors
+it into its own counter and logs.  Each server reads and writes only its
+own state; a takeover resumes ``jump_gap`` past what the successor has
+mirrored, since the primary's last notes may still be in flight.
+
 Memory per transaction.  A server keeps, per participant, only the ids
 of its last ``history_depth`` transactions: the window a history is cut
-from.  It also caches each response for duplicate requests.  A
+from.  The active server also caches each response for duplicate
+requests; a backup does not mirror that cache.  A
 participant keeps a transaction's order number and history (the list
 the response carries, not a copy) from its ORDER_FWD until it executes
 the transaction; after that it keeps only the id, in ``executed_set``.
@@ -104,10 +111,7 @@ class OrderServerState:
         self.next_order_no += 1
         histories = {}
         for p in sorted(req.participants):
-            log = self.per_participant_log.get(p)
-            if log is None:
-                log = self.per_participant_log[p] = deque(
-                    maxlen=self.history_depth)
+            log = self._log(p)
             histories[p] = list(log)
             log.append(req.tx_id)
         resp = OrderResponse(req.tx_id, order_no, histories)
@@ -119,9 +123,20 @@ class OrderServerState:
         verdict = self.admit(req, now_us)
         return self.assign(req) if verdict == ADMIT else verdict
 
-    def resume_after(self, highest_seen: int, jump_gap: int):
-        """Takeover entry point: continue numbering past what was observed."""
-        self.next_order_no = max(self.next_order_no, highest_seen + jump_gap + 1)
+    def mirror(self, resp: OrderResponse):
+        """A backup's copy of the primary's assignment ``resp`` (its
+        SEQ_NOTE): number past it and log it for each participant.  The
+        response itself is not cached."""
+        self.next_order_no = max(self.next_order_no, resp.order_no + 1)
+        for p in resp.histories:
+            self._log(p).append(resp.tx_id)
+
+    def _log(self, participant: int) -> deque:
+        log = self.per_participant_log.get(participant)
+        if log is None:
+            log = self.per_participant_log[participant] = deque(
+                maxlen=self.history_depth)
+        return log
 
 
 class OrderServer:
@@ -130,21 +145,21 @@ class OrderServer:
     The active server numbers requests; a spare forwards them to it
     (SEQ_FWD).  Admitted requests wait in a FIFO queue served one per
     ``service_time_us`` (at once when that is 0).  Each assignment is
-    noted to the operative peers (SEQ_NOTE) for a successor to number past."""
+    noted to the operative peers (SEQ_NOTE), which mirror it, so a
+    successor numbers past it and cuts histories from the same log."""
 
-    def __init__(self, engine, node_id: int, group: dict, active: int,
+    def __init__(self, engine, node_id: int, servers: tuple, active: int,
                  state: OrderServerState, service_time_us: int,
                  jump_gap: int):
         self.engine = engine
         self.node_id = node_id
-        self.group = group  # server id -> OrderServer, this one included
+        self.servers = servers  # every server's id, this one's included
         self.active = active  # the server this one takes for the sequencer
         self.state = state
         self.service_time_us = service_time_us
         self.jump_gap = jump_gap
         self.queue: deque = deque()  # (request, origin); served when nonempty
         self.max_queue = 0
-        self.highest_seen = 0  # highest order number assigned or noted
 
     def on_message(self, frm: int, kind: str, msg_id: str, payload):
         if kind in ("ORDER_REQ", "ORDER_RETRY"):
@@ -153,7 +168,7 @@ class OrderServer:
             req, origin = payload
             self._ingest(req, origin, forwarded=True)
         elif kind == "SEQ_NOTE":
-            self.highest_seen = max(self.highest_seen, payload)
+            self.state.mirror(payload)
 
     def on_timer(self, key, data):
         if key[0] == "serve":
@@ -188,11 +203,10 @@ class OrderServer:
 
     def _assign(self, req: OrderRequest, origin: int):
         resp = self.state.assign(req)
-        self.highest_seen = max(self.highest_seen, resp.order_no)
-        for peer in self.group:
+        for peer in self.servers:
             if peer != self.node_id and not self.engine.is_crashed(peer):
                 self.engine.send(self.node_id, peer, "SEQ_NOTE", req.tx_id,
-                                 resp.order_no)
+                                 resp)
         self._respond(origin, resp)
 
     def _respond(self, origin: int, resp: OrderResponse):
@@ -203,25 +217,19 @@ class OrderServer:
                          resp, fields)
 
     def _promote(self):
-        """After a crash: the highest operative server becomes the active
-        one, in every server's view at once, and numbers past the highest
-        order number of any server."""
-        successor = max(s for s in self.group
+        """After a crash: this server takes the highest operative server
+        for the active one.  That successor numbers ``jump_gap`` past what
+        it has mirrored, since the crashed primary's last notes may still
+        be in flight."""
+        successor = max(s for s in self.servers
                         if not self.engine.is_crashed(s))
         if successor == self.active:
             return
-        for server in self.group.values():
-            server.active = successor
-        state = self.group[successor].state
-        state.resume_after(self._highest_order_anywhere(), self.jump_gap)
-        self.engine.trace.add(self.engine.now, successor, "TAKEOVER", "",
-                              {"resume": state.next_order_no})
-
-    def _highest_order_anywhere(self) -> int:
-        """The highest order number any server has assigned or been told
-        of, the crashed primary's own counter included.  No real node could
-        read this; it stands in for replicating the log to the backups."""
-        return max(server.highest_seen for server in self.group.values())
+        self.active = successor
+        if successor == self.node_id:
+            self.state.next_order_no += self.jump_gap
+            self.engine.trace.add(self.engine.now, self.node_id, "TAKEOVER",
+                                  "", {"resume": self.state.next_order_no})
 
 
 class ParticipantState:

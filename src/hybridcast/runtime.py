@@ -130,11 +130,6 @@ class AbcastRuntime:
     def max_deadline_bound(self) -> int:
         return max((n.max_deadline_D for n in self.nodes.values()), default=0)
 
-    def release(self):
-        """Break the run's reference cycles (see ``Engine.release``); the
-        results stay readable."""
-        self.engine.release()
-
 
 @dataclass(slots=True)
 class _TxState:
@@ -168,7 +163,7 @@ class OrderingRuntime:
             self.engine.add_node(c, on_message=self._client_message(c),
                                  on_timer=self._client_timer(c))
         self.servers: dict[int, OrderServer] = {}
-        ids = range(SERVER_BASE, SERVER_BASE + cfg.num_order_servers)
+        ids = tuple(range(SERVER_BASE, SERVER_BASE + cfg.num_order_servers))
         for s in ids:
             state = OrderServerState(
                 rate_per_s=cfg.admission.rate_per_s,
@@ -176,7 +171,7 @@ class OrderingRuntime:
                 history_depth=cfg.history_depth,
                 admission_enabled=cfg.admission.enabled)
             server = self.servers[s] = OrderServer(
-                self.engine, s, self.servers, max(ids), state,
+                self.engine, s, ids, max(ids), state,
                 cfg.admission.service_time_us, cfg.sequencer_jump_gap)
             self.engine.add_node(s, on_message=server.on_message,
                                  on_timer=server.on_timer)
@@ -366,13 +361,6 @@ class OrderingRuntime:
             pending.pop(0)
             del self._direct_acks[(tx_id, client)]  # every member has acked
             self._mark_executed(client, tx_id, ts)
-
-    def release(self):
-        """Break the run's reference cycles (see ``Engine.release``); the
-        results stay readable."""
-        self.engine.release()
-        for server in self.servers.values():
-            server.group = {}  # through it the servers refer to each other
 
     @property
     def server_states(self) -> dict[int, OrderServerState]:

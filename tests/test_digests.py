@@ -93,21 +93,21 @@ SCENARIOS = {
 DIGESTS = {  # name -> (trace.csv, metrics.json)
     "hybrid": (
         "c8e0dfecacfae3c534ab239a0509739294c15cc0a61af129d615b5c14e2107be",
-        "119eae565f3cf818b3300d446280344b2b148fd404ef68e05306e173565147d6"),
+        "f06267ea6a2a90a7714b160a9945717cc78c2933428bff9b7c5c0af74acaa804"),
     "hybrid-crash-lossy": (
         "233c6e0b02ff21cf4b61f34de256497c0821465e3dace226f6dbfe44ce1e0101",
-        "9e62b1beed4d0caabb625485d0a1fa638814c0b2e3c6e8ccd7ac11c8b0b5da58"),
+        "aa09aeeb6fc5bb0a1831db5ae0f147eda1f5736f83533f4492d6f1f1af7545a7"),
     "gmd-only": (
         "464804f6a0657fd80402f88676517d7b94d0ea34d8e1180b669f652db3b695ff",
         "b4041e5e1e4a81bc893739905bf8d8258d43e55eba78b77a82237e46db23de65"),
     "on-suspicion": (
         "c2f46ec56ac8162156f8b6a0717abe5205095d143f343993252c286bb899fe5c",
-        "138641382233ff3142498e4834b7ee692eb6f409490e7bcf9797e529de27d1dd"),
+        "58b311968fd0abc0196e1348fe779899c72d52353cc4ed719d18ee0f30f49bc3"),
     "service-takeover": (
-        "5f09303fbc0a6d814ce892773d749d2dc90028fa13fd2e10de42140bc26a78f4",
+        "a1e0801a737d9ea23577cda9f39af7240090ed7533fb061ee1aeb65b2a323b32",
         "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),
     "service-queued": (
-        "5ac9d6c9d4ca9e9a13b434f5fa752da14f21b794120ad72d5da2f15b05ff53e3",
+        "1b82802f88d76f4e2f546261c6c216bcb42f5c359330865693fb2178a792b7cd",
         "c952ae08b420bd75e7ef0afbe0a57aed0790eb17a9c93dedab84964b1ca5a265"),
 }
 

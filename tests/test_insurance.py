@@ -330,6 +330,69 @@ def test_gap_with_known_lower_bound_does_not_block_smaller_ts():
     assert not node._gap_blocks(4000)  # nothing below the bound is hidden
 
 
+def deadline_timers(node):
+    return sum(1 for key in node._timers if key[0] == "deadline")
+
+
+def test_a_crash_interim_arms_at_most_one_deadline_timer_per_node():
+    """Only the head of the delivery order can be delivered, so a node
+    keeps one deadline timer, set for the head's deadline, however many
+    messages wait out their deadlines while the crashed member stays in
+    the view."""
+    cfg = config_from_dict({
+        "seed": 2, "duration_us": 1_500_000, "mode": MODE_HYBRID,
+        "num_client_nodes": 5,
+        "network": {"delay": {"family": "lognormal", "median_us": 3000,
+                              "sigma": 0.5}},
+        "crash_schedule": [{"node": 4, "at_us": 300_000}],
+        "view_install_delay_us": 60_000_000,
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0,
+                     "stop_margin_us": 100_000}})
+    rt = AbcastRuntime(cfg)
+    most = 0
+    for t in range(1000, 1_500_001, 1000):
+        rt.engine.run_until(t)
+        most = max(most, max(deadline_timers(n) for n in rt.nodes.values()))
+    paths = [r.fields["path"] for r in rt.engine.trace.of_kind("DELIVER")]
+    assert paths.count(DEADLINE_PATH) > 500
+    assert most == 1
+
+
+def test_a_head_past_its_deadline_is_delivered_when_its_hole_fills():
+    eng, nodes = build_cluster(n=3, default_d_us=5000)
+    armed = []
+    set_timer = eng.set_timer
+
+    def recording_set_timer(node_id, delay_us, key, data=None):
+        if node_id == 2 and key[0] == "deadline":
+            armed.append(eng.now + delay_us)
+        return set_timer(node_id, delay_us, key, data)
+
+    eng.set_timer = recording_set_timer
+    for crashed in (0, 1):  # no member acks: only the deadline path is left
+        eng.schedule_crash(crashed, 0)
+    eng.run_until(2000)
+    node = nodes[2]
+    # seq 1 of sender 0 arrives, and seq 0 is a hole below it
+    node.on_message(0, "INS_MSG", "0:1",
+                    InsuranceMessage((0, 1), 1000, 5000, 1, sent_ts=1000))
+    deadline = node.deadlines[(0, 1)]
+    assert node.gaps[0] == {0}
+    assert armed == [deadline]  # one wake, at the head's deadline
+    eng.run_until(deadline + 50_000)
+    assert delivered(node) == []  # the hole blocks the head
+    assert armed == [deadline] and deadline_timers(node) == 0
+    fill_at = eng.now
+    node.on_message(1, "INS_RELAY", "0:0",
+                    InsuranceMessage((0, 0), 900, 5000, 1, relayed_by=1,
+                                     sent_ts=fill_at - 1000))
+    assert delivered(node) == [(0, 0), (0, 1)]
+    assert [(r.sim_time_us, r.fields["path"])
+            for r in eng.trace.of_kind("DELIVER")] == [
+        (fill_at, DEADLINE_PATH), (fill_at, DEADLINE_PATH)]
+    assert armed == [deadline]
+
+
 def test_on_suspicion_mode_arms_deadlines_only_after_suspect():
     eng, nodes = build_cluster(n=4, mode=MODE_ON_SUSPICION, default_d_us=3000)
     eng.schedule_crash(0, 1)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hybridcast.config import config_from_dict
 from hybridcast.errors import UnknownTransactionError
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
 from hybridcast.ordering import (
@@ -16,6 +17,7 @@ from hybridcast.ordering import (
     TokenBucket,
     message_cost_model,
 )
+from hybridcast.runtime import OrderingRuntime
 
 
 class TestTokenBucket:
@@ -97,11 +99,20 @@ class TestOrderServer:
         assert srv.admit(req, 0) is first  # no token spent on a cached one
         assert srv.admit(OrderRequest("b", 0, frozenset({0})), 0) == REJECT
 
-    def test_resume_after_jumps_past_observed(self):
-        srv = OrderServerState()
-        srv.resume_after(highest_seen=40, jump_gap=10)
-        resp = srv.assign(OrderRequest("a", 0, frozenset({0})))
-        assert resp.order_no == 51
+    def test_mirror_numbers_past_and_logs_the_primarys_assignments(self):
+        rng = random.Random(7)
+        primary = OrderServerState(history_depth=4)
+        backup = OrderServerState(history_depth=4)
+        for i in range(1, 41):
+            group = frozenset(rng.sample(range(6), rng.randint(1, 3)))
+            backup.mirror(primary.assign(OrderRequest(f"t{i}", 0, group)))
+        assert backup.responses == {}  # the cache is not mirrored
+        assert backup.per_participant_log == primary.per_participant_log
+        req = OrderRequest("next", 0, frozenset(range(6)))
+        mine, theirs = backup.assign(req), primary.assign(req)
+        assert mine.order_no == theirs.order_no == 41
+        assert mine.histories == theirs.histories
+        assert all(len(h) == 4 for h in mine.histories.values())
 
     def test_history_oracle_brute_force(self):
         """1000 random requests against a from-scratch recomputation."""
@@ -127,10 +138,11 @@ def order_service(service_time_us=0, rate_per_s=1000.0, burst=100,
     got = []
     engine.add_node(0, on_message=lambda frm, kind, msg_id, payload:
                     got.append((engine.now, kind, msg_id, payload)))
+    ids = (1000, 1001, 1002)
     group = {}
-    for s in (1000, 1001, 1002):
+    for s in ids:
         state = OrderServerState(rate_per_s=rate_per_s, burst=burst)
-        server = group[s] = OrderServer(engine, s, group, 1002, state,
+        server = group[s] = OrderServer(engine, s, ids, 1002, state,
                                         service_time_us, jump_gap)
         engine.add_node(s, on_message=server.on_message,
                         on_timer=server.on_timer)
@@ -190,22 +202,43 @@ class TestOrderServerNode:
             (1002, "b")]
         assert group[1002].state.rejected == 1
 
-    def test_promotion_resumes_past_the_highest_order_of_any_server(self):
+    def test_promotion_resumes_past_what_the_successor_mirrored(self):
         engine, group, got = order_service(jump_gap=10)
         request(engine, 1002, "a")  # numbered at 1000 us, noted at 2000 us
         engine.schedule_crash(1002, 1500)
         for s in (1000, 1001):
             engine.set_timer_at(s, 1501, ("promote",))
         engine.run_until(1501)
-        # only the crashed primary's counter holds order 1 at promotion
-        assert group[1001].highest_seen == 0
+        # order 1's note is still in flight: the successor has mirrored
+        # nothing, so it numbers from 1 + jump_gap
         assert [(r.node, r.fields["resume"])
-                for r in records(engine, "TAKEOVER")] == [(1001, 12)]
-        assert all(server.active == 1001 for server in group.values())
+                for r in records(engine, "TAKEOVER")] == [(1001, 11)]
+        # each operative server switched itself; the crashed one was left
+        assert {s: server.active for s, server in group.items()} == {
+            1000: 1001, 1001: 1001, 1002: 1002}
         request(engine, 1000, "b")
         engine.run_until(10_000)
         assert [(resp.tx_id, resp.order_no) for *_, resp in got] == [
-            ("a", 1), ("b", 12)]
+            ("a", 1), ("b", 11)]
+        # the note landed at 2000 us and entered the successor's log
+        assert got[1][3].histories == {0: ["a"]}
+
+    def test_backups_mirror_the_primarys_log(self):
+        rt = OrderingRuntime(config_from_dict({
+            "seed": 3, "duration_us": 1_000_000,
+            "num_client_nodes": 5, "num_order_servers": 3,
+            "network": {"delay": {"family": "lognormal", "median_us": 3000,
+                                  "sigma": 0.5}},
+            "workload": {"kind": "transactions", "arrival_rate_per_s": 200.0,
+                         "participant_count_dist": 3, "ordering": "SERVICE",
+                         "stop_margin_us": 300_000}}))
+        rt.engine.run_until(1_000_000)  # the last notes land in the margin
+        primary = rt.servers[1002].state
+        assert primary.next_order_no > 100
+        for s in (1000, 1001):
+            backup = rt.servers[s].state
+            assert backup.per_participant_log == primary.per_participant_log
+            assert backup.next_order_no == primary.next_order_no
 
 
 class TestParticipant:
