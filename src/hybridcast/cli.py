@@ -12,12 +12,7 @@ import json
 import sys
 
 from .config import load_config
-from .delays import (
-    DelayBoundConfig,
-    DelayEstimator,
-    compute_D,
-    estimate_worst_case,
-)
+from .delays import DelayBoundConfig, DelayEstimator, compute_D
 from .errors import ConfigError, HybridcastError, IncompleteTraceError
 from .harness import run_scenario, sweep, sweep_csv_lines
 from .oracle import check_total_order
@@ -107,7 +102,18 @@ def _cmd_check_trace(args) -> int:
 
 
 def _cmd_estimate_d(args) -> int:
-    estimator = DelayEstimator(window_size=args.window, default_d_us=1)
+    if not (0.0 < args.percentile < 1.0):
+        print(f"error: --percentile must be in (0,1), got {args.percentile}",
+              file=sys.stderr)
+        return 2
+    if args.window <= 0:
+        print(f"error: --window must be positive, got {args.window}",
+              file=sys.stderr)
+        return 2
+    cfg = DelayBoundConfig(percentile=args.percentile, eta_us=args.eta,
+                           theta_us=args.theta, epsilon_us=args.epsilon,
+                           safety_margin_us=args.margin)
+    estimator = DelayEstimator(cfg, window_size=args.window)
     try:
         with open(args.samples, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -117,19 +123,17 @@ def _cmd_estimate_d(args) -> int:
                       file=sys.stderr)
                 return 2
             for row in reader:
-                estimator.record(int(row["from"]), int(row["delay_us"]),
-                                 epsilon_us=args.epsilon)
+                estimator.record(int(row["from"]), int(row["delay_us"]))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = DelayBoundConfig(percentile=args.percentile, eta_us=args.eta,
-                           theta_us=args.theta, epsilon_us=args.epsilon,
-                           safety_margin_us=args.margin)
+    if not estimator.per_origin:
+        print("error: no usable samples", file=sys.stderr)
+        return 2
     report = {"per_origin_d_us": {}, "discarded_samples": estimator.discarded}
     for origin in sorted(estimator.per_origin):
-        dist = estimator.per_origin[origin]
-        report["per_origin_d_us"][str(origin)] = estimate_worst_case(dist, cfg)
-    d = estimator.worst_case(cfg)
+        report["per_origin_d_us"][str(origin)] = estimator.estimate(origin)
+    d = estimator.worst_case()
     report["d_us"] = d
     report["D_us"] = compute_D(d, cfg)
     report["deadline_slack_us"] = report["D_us"] + args.epsilon

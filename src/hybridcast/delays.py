@@ -17,15 +17,35 @@ The first three terms are the instant by which the rank-0 relayer fires,
 ts + d + eta + theta, measured from the broadcast rather than from the
 arrival of copy 1: the relayer waits as long for a copy 1 that arrived
 early as for one that took the full d, so D is unchanged.
+
+d is a high percentile of the last W delays from an origin, and a window
+keeps only the samples that can still be that percentile (a k-skyband,
+as in top-k queries over sliding windows).  The nearest-rank q-percentile
+of n samples is the k-th largest with k = n - ceil(q*n) + 1, which never
+falls as n grows, so no window of at most W samples asks for a sample
+deeper than kmax = W - ceil(q*W) + 1 from the top.  A sample with kmax
+later samples at least as large as it is never the percentile again:
+every window that still holds it also holds those later samples, which
+rank above it.  At q = 0.9999 and W = 10,000, kmax is 2, and a window of
+lognormal delays keeps a few dozen samples instead of ten thousand.
 """
 
 from __future__ import annotations
 
-import bisect
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heapify, heapreplace
+from itertools import accumulate
+from operator import sub
 
 from .errors import EmptyWindowError, NonPositiveDelayError
+
+_MIN_PRUNE_EVERY = 32  # samples between two prunes, at the least
+# departed survivors are compacted away once there are _MIN_COMPACT of them
+# and they fill 1/_COMPACT_SHARE of the arrival-order arrays
+_MIN_COMPACT = 16
+_COMPACT_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -41,66 +61,137 @@ class DelayBoundConfig:
             raise ValueError(f"percentile must be in (0,1), got {self.percentile}")
 
 
-def nearest_rank(sorted_values, q: float):
-    """Nearest-rank quantile: 1-based index ceil(q*n) of a non-empty
-    sorted sequence, clamped to [1, n]."""
-    n = len(sorted_values)
+def _rank(q: float, n: int) -> int:
+    """1-based nearest-rank index ceil(q*n) of n samples, clamped to [1, n]."""
     rank = -(-int(q * n * 10**9) // 10**9)  # ceil without float fuzz at integers
-    return sorted_values[min(max(rank, 1), n) - 1]
+    return min(max(rank, 1), n)
+
+
+def nearest_rank(sorted_values, q: float):
+    """Nearest-rank quantile of a non-empty sorted sequence."""
+    return sorted_values[_rank(q, len(sorted_values)) - 1]
 
 
 class DelayDistribution:
-    """Bounded FIFO window of observed delays with an exact sorted mirror.
+    """The nearest-rank ``q`` percentile of the last ``window_size`` delays.
 
-    Both are ``array('q')`` buffers of unboxed 8-byte ints, so a sample
-    costs 16 bytes, not a deque slot, a list slot and an int object.  The
-    FIFO grows until it holds ``window_size`` samples and is a ring from
-    then on: ``_head`` indexes the oldest sample, which the next one
-    overwrites.
+    It keeps only the survivors: the samples with fewer than ``kmax``
+    later samples at least as large (see the module docstring).  They are
+    held twice, in packed arrays of unboxed ints: oldest first, for
+    expiry, and sorted, for the lookup.  Beside each survivor in arrival
+    order is a 4-byte gap, its arrival number less that of the survivor
+    before it, so ``_head_leaves``, the arrival that pushes the oldest
+    survivor out, follows as survivors leave.  Survivors before ``_head``
+    have left the window; they are compacted away in batches.
+
+    Pruning is lazy: once as many samples have arrived as the last prune
+    kept, one sweep from newest to oldest, with a min-heap of the
+    ``kmax`` largest samples kept so far, drops every sample that has
+    ``kmax`` later ones at least as large.  The newest sample is always
+    kept, so a new sample is always one arrival after the survivor before
+    it, and gaps above 1 come only from pruning.
+
+    ``value`` is the percentile of the window, updated on every
+    ``observe``; it is 0 until the first sample.
     """
 
-    def __init__(self, window_size: int = 10_000):
+    def __init__(self, window_size: int, q: float):
         if window_size <= 0:
             raise ValueError("window_size must be positive")
+        if not (0.0 < q <= 1.0):
+            raise ValueError(f"quantile fraction must be in (0,1], got {q}")
         self.window_size = window_size
-        self._fifo = array("q")
-        self._head = 0
-        self._sorted = array("q")
+        self.q = q
+        self.kmax = window_size - _rank(q, window_size) + 1
+        self.value = 0
+        self._seen = 0  # samples observed; the arrival number of the newest
+        self._vals = array("q")  # survivors, oldest first
+        self._gaps = array("I")  # arrival-number gap to the survivor before
+        self._head = 0  # index of the oldest survivor still in the window
+        self._head_leaves = 0  # the arrival that pushes it out
+        self._sorted = array("q")  # survivors still in the window, sorted
+        self._prune_at = _MIN_PRUNE_EVERY  # arrival number of the next prune
+        self._fill_rank = 1  # _rank(q, seen) while the window fills
 
     def __len__(self):
-        return len(self._fifo)
+        """Samples in the window, kept or not."""
+        return min(self._seen, self.window_size)
+
+    def kept(self) -> int:
+        """Samples held: all that can still be the percentile, and the
+        ones that cannot but arrived since the last prune."""
+        return len(self._sorted)
 
     def observe(self, delay_us: int):
         if delay_us <= 0:
             raise NonPositiveDelayError(f"delay {delay_us}us is not positive")
-        fifo, ordered = self._fifo, self._sorted
-        if len(fifo) < self.window_size:
-            fifo.append(delay_us)
-        else:
+        seen = self._seen = self._seen + 1
+        vals, ordered = self._vals, self._sorted
+        if seen == self._head_leaves:  # the oldest survivor leaves
             head = self._head
-            del ordered[bisect.bisect_left(ordered, fifo[head])]
-            fifo[head] = delay_us
+            del ordered[bisect_left(ordered, vals[head])]
             head += 1
-            self._head = 0 if head == self.window_size else head
-        bisect.insort(ordered, delay_us)
+            if head < len(vals):
+                self._head_leaves += self._gaps[head]
+            if head >= _MIN_COMPACT and head * _COMPACT_SHARE >= len(vals):
+                del vals[:head]
+                del self._gaps[:head]
+                head = 0
+            self._head = head
+        if not ordered:  # this sample becomes the oldest survivor
+            self._head_leaves = seen + self.window_size
+        vals.append(delay_us)
+        self._gaps.append(1)
+        insort(ordered, delay_us)
+        if seen == self._prune_at:
+            self._prune()
+            ordered = self._sorted
+        if seen < self.window_size:
+            # the rank moves with the count: by one, when q*seen passes it
+            if int(self.q * seen * 10**9) > self._fill_rank * 10**9:
+                self._fill_rank += 1
+            # the k-th largest, k = seen - rank + 1
+            self.value = ordered[self._fill_rank - seen - 1]
+        else:
+            self.value = ordered[-self.kmax]
 
-    def window(self) -> list[int]:
-        """The samples in the window, oldest first."""
-        head = self._head
-        return self._fifo[head:].tolist() + self._fifo[:head].tolist()
+    def _prune(self):
+        head, kmax = self._head, self.kmax
+        if len(self._vals) - head > kmax:
+            live = self._vals[head:].tolist()
+            # the newest kmax have fewer than kmax later samples: all stay
+            cut = len(live) - kmax
+            top = live[cut:]  # min-heap of the kmax largest kept so far
+            heapify(top)
+            low = top[0]
+            older = []  # indices of the older ones kept, newest first
+            for i in range(cut - 1, -1, -1):
+                v = live[i]
+                if v > low:
+                    heapreplace(top, v)
+                    low = top[0]
+                    older.append(i)
+                # else kmax later samples are at least v: it is never needed
+            if len(older) < cut:
+                # the arrival that pushes each one out, oldest first
+                leaves = list(accumulate(self._gaps[head + 1:],
+                                         initial=self._head_leaves))
+                keep = older[::-1] + list(range(cut, len(live)))
+                kept_vals = [live[i] for i in keep]
+                kept_leaves = [leaves[i] for i in keep]
+                self._vals = array("q", kept_vals)
+                self._gaps = array("I", [1])
+                self._gaps.extend(map(sub, kept_leaves[1:], kept_leaves))
+                self._head, self._head_leaves = 0, kept_leaves[0]
+                kept_vals.sort()
+                self._sorted = array("q", kept_vals)
+        self._prune_at = self._seen + max(len(self._sorted), _MIN_PRUNE_EVERY)
 
-    def quantile(self, q: float) -> int:
-        """Nearest-rank quantile of the window (see ``nearest_rank``)."""
-        if not self._sorted:
+    def quantile(self) -> int:
+        """The window's percentile, ``value``; an empty window raises."""
+        if not self._seen:
             raise EmptyWindowError("quantile of empty window")
-        if not (0.0 < q <= 1.0):
-            raise ValueError(f"quantile fraction must be in (0,1], got {q}")
-        return nearest_rank(self._sorted, q)
-
-
-def estimate_worst_case(dist: DelayDistribution, cfg: DelayBoundConfig) -> int:
-    """Pessimistic per-node worst-case one-way delay estimate."""
-    return dist.quantile(cfg.percentile) + cfg.epsilon_us
+        return self.value
 
 
 def compute_D(d_us: int, cfg: DelayBoundConfig) -> int:
@@ -111,47 +202,43 @@ def compute_D(d_us: int, cfg: DelayBoundConfig) -> int:
 
 
 class DelayEstimator:
-    """Per-origin delay windows owned by one node.
+    """Per-origin delay windows owned by one node, at ``cfg.percentile``.
 
-    Raw observations within epsilon below zero are clamped to 1us (clock
-    error makes them explicable); anything worse is discarded and counted.
+    Raw observations within ``cfg.epsilon_us`` below zero are clamped to
+    1us (clock error makes them explicable); anything worse is discarded
+    and counted.
     """
 
-    def __init__(self, window_size: int = 10_000, default_d_us: int = 20_000):
+    def __init__(self, cfg: DelayBoundConfig, window_size: int = 10_000,
+                 default_d_us: int = 20_000):
+        self.cfg = cfg
         self.window_size = window_size
         self.default_d_us = default_d_us
         self.per_origin: dict[int, DelayDistribution] = {}
         self.discarded = 0
-        # origin -> estimate under _estimates_cfg; record drops its origin
-        self._estimates: dict[int, int] = {}
-        self._estimates_cfg = None
 
-    def record(self, origin: int, raw_delay_us: int, epsilon_us: int):
+    def record(self, origin: int, raw_delay_us: int):
         if raw_delay_us <= 0:
-            if raw_delay_us > -epsilon_us:
+            if raw_delay_us > -self.cfg.epsilon_us:
                 raw_delay_us = 1
             else:
                 self.discarded += 1
                 return
         dist = self.per_origin.get(origin)
         if dist is None:
-            dist = self.per_origin[origin] = DelayDistribution(self.window_size)
+            dist = self.per_origin[origin] = DelayDistribution(
+                self.window_size, self.cfg.percentile)
         dist.observe(raw_delay_us)
-        self._estimates.pop(origin, None)
 
-    def worst_case(self, cfg: DelayBoundConfig) -> int:
+    def estimate(self, origin: int) -> int:
+        """Pessimistic worst-case delay from one origin: its percentile
+        plus the clock accuracy."""
+        return self.per_origin[origin].value + self.cfg.epsilon_us
+
+    def worst_case(self) -> int:
         """Max over origins of the pessimistic estimate; a prior before data."""
-        estimates = self._estimates
-        if cfg is not self._estimates_cfg:
-            estimates.clear()
-            self._estimates_cfg = cfg
         best = 0
-        for origin, dist in self.per_origin.items():
-            est = estimates.get(origin)
-            if est is None:
-                if not len(dist):
-                    continue
-                est = estimates[origin] = estimate_worst_case(dist, cfg)
-            if est > best:
-                best = est
-        return best if best > 0 else self.default_d_us
+        for dist in self.per_origin.values():
+            if dist.value > best:
+                best = dist.value
+        return best + self.cfg.epsilon_us if best else self.default_d_us

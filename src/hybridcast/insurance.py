@@ -104,11 +104,12 @@ class InsuranceNode:
         self.params = params
         self.mode = params.mode
         self.gmd = GmdNodeState(node_id, membership)
-        self.estimator = DelayEstimator(params.window_size, params.default_d_us)
         self.bound_cfg = DelayBoundConfig(
             percentile=params.percentile, eta_us=params.eta_us,
             theta_us=params.theta_us, epsilon_us=params.epsilon_us,
             safety_margin_us=params.safety_margin_us)
+        self.estimator = DelayEstimator(self.bound_cfg, params.window_size,
+                                        params.default_d_us)
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
         self.contig: dict[int, int] = {}
@@ -143,7 +144,7 @@ class InsuranceNode:
         return self.mode == MODE_ON_SUSPICION and bool(self.suspected)
 
     def current_d(self) -> int:
-        return self.estimator.worst_case(self.bound_cfg)
+        return self.estimator.worst_case()
 
     def _set_timer(self, key, delay_us: int, data=None):
         self._cancel(key)
@@ -257,8 +258,7 @@ class InsuranceNode:
     # -- receive path ------------------------------------------------------
 
     def _on_copy(self, frm: int, msg: InsuranceMessage):
-        self.estimator.record(frm, self.clock() - msg.sent_ts,
-                              self.params.epsilon_us)
+        self.estimator.record(frm, self.clock() - msg.sent_ts)
         mid = msg.msg_id
         if msg.relayed_by is not None and msg.relayed_by != self.node_id:
             # someone else is already relaying: suppress our own relay
@@ -287,8 +287,7 @@ class InsuranceNode:
         self._try_deliver()
 
     def _apply_ack(self, frm: int, ack: InsuranceAck):
-        self.estimator.record(frm, self.clock() - ack.promise,
-                              self.params.epsilon_us)
+        self.estimator.record(frm, self.clock() - ack.promise)
         self.gmd.on_ack(ack.acker, ack.promise, ack.seen)
         for sender, watermark in ack.seen.items():
             if sender == self.node_id:

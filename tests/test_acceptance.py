@@ -162,6 +162,9 @@ def test_c4_case2_rate_at_scale_and_monotone_knobs(induced_case2_run):
             by_pct.append(
                 run_scenario(shift_scenario(percentile=pct)).metrics.case2_count)
     assert by_pct[0] >= by_pct[1] >= by_pct[2]
+    # the percentile reaches the estimators: a p50 bound, far tighter than
+    # a p99.99 one, lets strictly more pairs reach Case 2
+    assert by_pct[0] > by_pct[2]
     report(f"C4 case-2 rate {rate:.2e} <= 1e-4 over {total_msgs} messages "
            f"({total_pairs} pairs) in {elapsed:.0f}s; margin sweep "
            f"{by_margin}, percentile sweep {by_pct} both non-increasing")

@@ -110,3 +110,29 @@ def test_estimate_d_bad_header_exits_2(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     samples.write_text("a,b,c\n1,2,3\n")
     assert main(["estimate-d", "--samples", str(samples)]) == 2
+
+
+def test_estimate_d_rejects_out_of_range_percentile(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("from,to,delay_us\n1,0,5000\n")
+    assert main(["estimate-d", "--samples", str(samples),
+                 "--percentile", "1.5"]) == 2
+    assert "--percentile" in capsys.readouterr().err
+
+
+def test_estimate_d_rejects_empty_window(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("from,to,delay_us\n")
+    assert main(["estimate-d", "--samples", str(samples),
+                 "--window", "0"]) == 2
+    assert "--window" in capsys.readouterr().err
+
+
+def test_estimate_d_without_usable_samples_exits_2(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("from,to,delay_us\n1,2,-500\n")
+    assert main(["estimate-d", "--samples", str(samples),
+                 "--epsilon", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: no usable samples"]

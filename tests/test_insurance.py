@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -468,7 +469,31 @@ def test_delay_estimate_feeds_deadline_bound():
     node = nodes[1]
     assert node.current_d() == 4000
     # 2d + 2eta + theta with the observed fixed delay
-    assert node.estimator.per_origin[0].quantile(0.9999) == 4000
+    assert node.estimator.per_origin[0].quantile() == 4000
+
+
+def test_configured_percentile_reaches_every_estimator():
+    # every hop takes 1 ms until 200 ms and 9 ms after, so a window's
+    # median and its p99.99 differ
+    eng, nodes = build_cluster(n=3, percentile=0.5, epsilon_us=25,
+                               default_d_us=1)
+    eng.network.shifts = [(200_000, DelaySpec("fixed", value_us=9000))]
+    samples = {i: {} for i in nodes}
+    for i, node in nodes.items():
+        def spy(origin, raw, record=node.estimator.record, log=samples[i]):
+            log.setdefault(origin, []).append(raw)
+            record(origin, raw)
+        node.estimator.record = spy
+    for k in range(9):
+        nodes[k % 3].broadcast(k)
+        eng.run_until(eng.now + 40_000)
+    for i, node in nodes.items():
+        log = samples[i]
+        assert min(min(raws) for raws in log.values()) > 0
+        medians = [sorted(raws)[math.ceil(len(raws) / 2) - 1]
+                   for raws in log.values()]
+        assert node.current_d() == max(medians) + 25
+        assert node.current_d() < max(max(raws) for raws in log.values()) + 25
 
 
 # -- stability GC -------------------------------------------------------------

@@ -49,24 +49,53 @@ def test_same_seed_yields_byte_equal_traces(knobs):
 
 # -- quantile oracle ----------------------------------------------------------
 
+def _runs(starts):
+    """Lists of samples made of runs: scattered, rising, falling or
+    repeated.  Rising and repeated runs give a window many samples to
+    prune, so expiry often meets a gap that pruning left."""
+    run = st.tuples(st.sampled_from(["random", "up", "down", "tie"]),
+                    starts, st.integers(min_value=1, max_value=60))
+
+    def expand(runs):
+        values = []
+        for kind, start, length in runs:
+            if kind == "random":
+                values.extend((start * 7919 + i * 104_729) % 10**6 + 1
+                              for i in range(length))
+            elif kind == "up":
+                values.extend(start + i for i in range(length))
+            elif kind == "down":
+                values.extend(max(1, start - i) for i in range(length))
+            else:
+                values.extend([start] * length)
+        return values
+
+    return st.lists(run, min_size=1, max_size=8).map(expand)
+
+
 @BATTERY
 @given(
-    values=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,
-                    max_size=250),
+    values=st.one_of(
+        st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,
+                 max_size=250),
+        _runs(st.integers(min_value=1, max_value=10**6)),
+        _runs(st.integers(min_value=1, max_value=4)),  # heavy ties
+    ),
     window=st.integers(min_value=1, max_value=100),
     q=st.floats(min_value=0.0001, max_value=1.0),
 )
 def test_quantile_matches_sorted_window_oracle(values, window, q):
-    # checked after every sample, so once the window is full every
-    # position of its ring is overwritten and read back, lap after lap
-    dist = DelayDistribution(window)
+    # checked after every sample, so every expiry, every prune and every
+    # expiry of a sample next to a pruned one is read back
+    dist = DelayDistribution(window, q)
     for seen, v in enumerate(values, 1):
         dist.observe(v)
         live = values[max(0, seen - window):seen]
         ordered = sorted(live)
         rank = min(max(math.ceil(q * len(ordered)), 1), len(ordered))
-        assert dist.quantile(q) == ordered[rank - 1]
-        assert dist.window() == live
+        assert dist.quantile() == ordered[rank - 1]
+        assert len(dist) == len(live)
+        assert dist.kept() <= len(live)
 
 
 # -- deadline bound monotonicity ----------------------------------------------
