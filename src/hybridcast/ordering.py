@@ -16,8 +16,18 @@ mirrored, since the primary's last notes may still be in flight.
 
 Memory per transaction.  A server keeps, per participant, only the ids
 of its last ``history_depth`` transactions: the window a history is cut
-from.  The active server also caches each response for duplicate
-requests; a backup does not mirror that cache.  A
+from.  The active server also caches each response for repeated copies
+of its request; a backup does not mirror that cache.  A cached response
+goes once its host has confirmed it (at-most-once RPC, Birrell and
+Nelson, 1984).  On its first response the host stops sending copies of
+the request, and its next request carries ``(tx_id, copies sent)``.  The
+server counts the copies it has handled: answered from the cache,
+rejected, or numbered.  Once that count reaches the confirmed one, no
+further copy can reach it (the network does not duplicate a message), so
+the response, the count and the confirmation go.  What stays is safe and
+bounded: a copy that is lost keeps its response for good; a successor
+counts only the copies it handles itself; and each host's last answers
+stay cached until its next request.  A
 participant keeps a transaction's order number and history (the list
 the response carries, not a copy) from its ORDER_FWD until it executes
 the transaction; after that it keeps only the id, in ``executed_set``.
@@ -43,6 +53,7 @@ class OrderRequest:
     tx_id: str
     tx_host: int
     participants: frozenset
+    answered: tuple = ()  # (tx_id, copies sent) for the host's new answers
 
 
 @dataclass(frozen=True)
@@ -85,18 +96,24 @@ class OrderServerState:
         # participant -> ids of its last history_depth transactions
         self.per_participant_log: dict[int, deque] = {}
         self.responses: dict[str, OrderResponse] = {}
+        self.handled: dict[str, int] = {}  # tx_id -> copies handled here
+        self.confirmed: dict[str, int] = {}  # tx_id -> copies its host sent
         self.bucket = TokenBucket(rate_per_s, burst)
         self.admission_enabled = admission_enabled
         self.rejected = 0
 
     def admit(self, req: OrderRequest, now_us: int):
         """The cached response of a request assigned before, else REJECT
-        when the token bucket is empty, else ADMIT."""
+        when the token bucket is empty, else ADMIT.  The confirmations
+        the request carries are taken first."""
+        self.confirm(req.answered)
         cached = self.responses.get(req.tx_id)
         if cached is not None:
+            self._handled(req.tx_id)
             return cached
         if self.admission_enabled and self.bucket.admit(now_us) == REJECT:
             self.rejected += 1
+            self._handled(req.tx_id)
             return REJECT
         return ADMIT
 
@@ -106,6 +123,7 @@ class OrderServerState:
         its first copy waited in the queue) gets the same response."""
         cached = self.responses.get(req.tx_id)
         if cached is not None:
+            self._handled(req.tx_id)
             return cached
         order_no = self.next_order_no
         self.next_order_no += 1
@@ -116,7 +134,35 @@ class OrderServerState:
             log.append(req.tx_id)
         resp = OrderResponse(req.tx_id, order_no, histories)
         self.responses[req.tx_id] = resp
+        self._handled(req.tx_id)
         return resp
+
+    def confirm(self, answered):
+        """Take a host's ``(tx_id, copies sent)`` pairs.  One for a
+        transaction this server has not handled is dropped: its copies
+        went elsewhere, or are still on their way."""
+        for tx_id, copies in answered:
+            handled = self.handled.get(tx_id)
+            if handled is None:
+                continue
+            if handled >= copies:
+                self._forget(tx_id)
+            else:
+                self.confirmed[tx_id] = copies
+
+    def _handled(self, tx_id: str):
+        """Count a copy once it is answered or rejected, not when it is
+        admitted: a copy queued behind its first is still to be served
+        when the host's confirmation lands."""
+        handled = self.handled[tx_id] = self.handled.get(tx_id, 0) + 1
+        if handled >= self.confirmed.get(tx_id, handled + 1):
+            self._forget(tx_id)
+
+    def _forget(self, tx_id: str):
+        """Every copy of ``tx_id`` has been handled here."""
+        self.responses.pop(tx_id, None)
+        del self.handled[tx_id]
+        self.confirmed.pop(tx_id, None)
 
     def handle_order_request(self, req: OrderRequest, now_us: int):
         """Returns an OrderResponse, or REJECT when admission denies."""

@@ -159,6 +159,9 @@ class OrderingRuntime:
         self._direct_acks: dict[tuple, set] = {}
         self._direct_hybrid: dict[int, int] = {c: 0 for c in self.clients}
         self._direct_pending: dict[int, list] = {c: [] for c in self.clients}
+        # host -> (tx_id, copies sent) of its answered transactions, sent
+        # with its next request so the servers can drop those responses
+        self._answered: dict[int, list] = {c: [] for c in self.clients}
         for c in self.clients:
             self.engine.add_node(c, on_message=self._client_message(c),
                                  on_timer=self._client_timer(c))
@@ -207,13 +210,13 @@ class OrderingRuntime:
             tag = key[0]
             if tag == "tx":
                 self._start_tx(key[1])
-            elif tag == "retry":
-                self._submit_request(key[1])
-            elif tag == "reqto":
+            elif tag in ("retry", "reqto"):
                 tx = self.txs[key[1]]
-                if not tx.responded:
+                if tx.responded:
+                    return  # no copy after the first response
+                if tag == "reqto":
                     tx.server_cursor += 1
-                    self._submit_request(key[1])
+                self._submit_request(key[1])
         return handler
 
     def _start_tx(self, tx_id: str):
@@ -241,7 +244,10 @@ class OrderingRuntime:
         server = operative[tx.server_cursor % len(operative)]
         kind = "ORDER_REQ" if tx.attempts == 0 else "ORDER_RETRY"
         tx.attempts += 1
-        req = OrderRequest(tx_id, tx.host, frozenset(tx.group))
+        answered = self._answered[tx.host]
+        req = OrderRequest(tx_id, tx.host, frozenset(tx.group),
+                           tuple(answered))
+        answered.clear()
         self.engine.send(tx.host, server, kind, tx_id, req,
                          {"frm": tx.host, "attempt": tx.attempts})
         tx.reqto_token = self.engine.set_timer(
@@ -274,6 +280,7 @@ class OrderingRuntime:
         if tx.responded:
             return
         tx.responded = True
+        self._answered[client].append((tx.tx_id, tx.attempts))
         # the order is forwarded to every participant, the host included
         fields = {"order": resp.order_no}
         for member in tx.group:

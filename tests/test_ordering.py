@@ -99,6 +99,56 @@ class TestOrderServer:
         assert srv.admit(req, 0) is first  # no token spent on a cached one
         assert srv.admit(OrderRequest("b", 0, frozenset({0})), 0) == REJECT
 
+    def test_a_confirmed_response_goes_once_its_last_copy_is_handled(self):
+        srv = OrderServerState()
+        req = OrderRequest("a", 0, frozenset({0}))
+        first = srv.handle_order_request(req, 0)
+        assert srv.handle_order_request(req, 0) is first  # from the cache
+        srv.confirm((("a", 3),))  # the host sent three copies
+        assert srv.responses == {"a": first}
+        assert srv.handle_order_request(req, 0) is first  # the last one
+        assert srv.responses == {} and srv.handled == {}
+        assert srv.confirmed == {}
+
+    def test_a_rejected_copy_counts_as_handled(self):
+        srv = OrderServerState(rate_per_s=1, burst=1)
+        srv.handle_order_request(OrderRequest("x", 0, frozenset({0})), 0)
+        req = OrderRequest("a", 0, frozenset({0}))
+        assert srv.handle_order_request(req, 0) == REJECT
+        srv.handle_order_request(req, 1_000_000)  # the retry is numbered
+        assert "a" in srv.responses
+        srv.confirm((("a", 2),))
+        assert "a" not in srv.responses
+
+    def test_a_confirmation_before_a_queued_copy_keeps_its_response(self):
+        srv = OrderServerState()
+        req = OrderRequest("a", 0, frozenset({0}))
+        assert srv.admit(req, 0) == ADMIT
+        assert srv.admit(req, 0) == ADMIT  # a retry queued behind it
+        first = srv.assign(req)
+        srv.confirm((("a", 2),))  # the host got the first copy's answer
+        assert srv.responses == {"a": first}
+        assert srv.assign(req) is first
+        assert srv.responses == {} and srv.confirmed == {}
+
+    def test_a_copy_that_never_arrives_keeps_the_response(self):
+        srv = OrderServerState()
+        first = srv.handle_order_request(
+            OrderRequest("a", 0, frozenset({0})), 0)
+        srv.confirm((("a", 2),))  # the other copy was lost
+        assert srv.responses == {"a": first}
+        assert srv.handled == {"a": 1} and srv.confirmed == {"a": 2}
+
+    def test_a_confirmation_for_a_copy_not_handled_here_stores_nothing(self):
+        srv = OrderServerState()
+        srv.confirm((("elsewhere", 1),))  # answered by another server
+        req = OrderRequest("a", 0, frozenset({0}))
+        assert srv.admit(req, 0) == ADMIT  # still in the queue
+        srv.confirm((("a", 1),))
+        assert srv.handled == {} and srv.confirmed == {}
+        first = srv.assign(req)
+        assert srv.responses == {"a": first}  # kept: a safe leak
+
     def test_mirror_numbers_past_and_logs_the_primarys_assignments(self):
         rng = random.Random(7)
         primary = OrderServerState(history_depth=4)
@@ -149,8 +199,9 @@ def order_service(service_time_us=0, rate_per_s=1000.0, burst=100,
     return engine, group, got
 
 
-def request(engine, server, tx_id, kind="ORDER_REQ"):
-    engine.send(0, server, kind, tx_id, OrderRequest(tx_id, 0, frozenset({0})))
+def request(engine, server, tx_id, kind="ORDER_REQ", answered=()):
+    engine.send(0, server, kind, tx_id,
+                OrderRequest(tx_id, 0, frozenset({0}), answered))
 
 
 def records(engine, kind):
@@ -190,6 +241,21 @@ class TestOrderServerNode:
         assert len(records(engine, "ORDER_ASSIGN")) == 2
         assert engine.send_counts["SEQ_NOTE"] == 4
         assert group[1002].state.next_order_no == 2
+
+    def test_a_forwarded_copy_confirmed_before_it_lands_gets_the_answer(self):
+        engine, group, got = order_service()
+        request(engine, 1002, "a")  # answered at 1000 us
+        request(engine, 1000, "a", kind="ORDER_RETRY")  # at 1002 at 2000 us
+        engine.run_until(500)
+        # the host's next request confirms both copies; it lands at 1500 us
+        request(engine, 1002, "b", answered=(("a", 2),))
+        engine.run_until(1500)
+        state = group[1002].state
+        assert set(state.responses) == {"a", "b"}
+        engine.run_until(10_000)
+        answers = [resp for _, kind, tx_id, resp in got if tx_id == "a"]
+        assert len(answers) == 2 and answers[1] is answers[0]
+        assert set(state.responses) == {"b"}
 
     def test_rejection_is_counted_and_traced_once(self):
         engine, group, got = order_service(rate_per_s=1, burst=1)

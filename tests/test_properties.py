@@ -9,6 +9,7 @@ from hybridcast.gmd import GmdNodeState
 from hybridcast.harness import run_scenario
 from hybridcast.insurance import InsuranceNode, ProtocolParams
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
+from hybridcast.ordering import ADMIT, REJECT, OrderRequest, OrderServerState
 
 BATTERY = settings(max_examples=100, deadline=None)
 
@@ -234,6 +235,65 @@ def test_duplicated_messages_change_nothing(knobs):
     doubled = _run_cluster(knobs["seed"], knobs["senders"], duplicate=True)
     assert doubled == plain
     assert all(len(seq) == len(knobs["senders"]) for seq in plain.values())
+
+
+# -- order-service response cache ----------------------------------------------
+
+# One host and one server.  The host sends copies of four transactions'
+# requests, the server serves its queued copies, and answers reach the host,
+# in any interleaving.  The host sends no copy of an answered transaction,
+# and its next copy, of any transaction, confirms its new answers.
+cache_steps = st.lists(
+    st.tuples(st.sampled_from(["copy", "serve", "answer"]),
+              st.integers(min_value=0, max_value=3)),
+    max_size=60)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(steps=cache_steps, admission=st.booleans())
+def test_cached_responses_go_only_after_every_copy_is_handled(steps,
+                                                              admission):
+    srv = OrderServerState(rate_per_s=1000.0, burst=1,
+                           admission_enabled=admission)
+    sent = {f"t{i}": 0 for i in range(4)}
+    first = {}  # tx_id -> the first response any copy got
+    queue, inbox, answered, unconfirmed = [], [], set(), []
+
+    def handled(resp):
+        assert first.setdefault(resp.tx_id, resp).order_no == resp.order_no
+        inbox.append(resp)
+
+    for now_us, (action, i) in enumerate(steps):
+        tx_id = f"t{i}"
+        if action == "copy" and tx_id not in answered and sent[tx_id] < 4:
+            req = OrderRequest(tx_id, 0, frozenset({0}), tuple(unconfirmed))
+            unconfirmed.clear()
+            sent[tx_id] += 1
+            verdict = srv.admit(req, now_us * 300)
+            if verdict == ADMIT:
+                queue.append(req)
+            elif verdict != REJECT:
+                handled(verdict)
+        elif action == "serve" and queue:
+            handled(srv.assign(queue.pop(0)))
+        elif action == "answer":
+            resp = next((r for r in inbox if r.tx_id == tx_id), None)
+            if resp is not None:
+                inbox.remove(resp)
+                if tx_id not in answered:
+                    answered.add(tx_id)
+                    unconfirmed.append((tx_id, sent[tx_id]))
+    while queue:
+        handled(srv.assign(queue.pop(0)))
+    for resp in inbox:
+        if resp.tx_id not in answered:
+            answered.add(resp.tx_id)
+            unconfirmed.append((resp.tx_id, sent[resp.tx_id]))
+    srv.confirm(unconfirmed)
+    assert srv.responses == {} and srv.confirmed == {}
+    # only a transaction whose every copy was rejected is still counted
+    assert set(srv.handled) == {t for t, n in sent.items()
+                                if n and t not in answered}
 
 
 # -- scenario campaign ---------------------------------------------------------

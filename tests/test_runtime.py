@@ -92,13 +92,14 @@ def test_participants_keep_no_order_of_an_executed_transaction():
         assert part.executed_set and part.known_orders == {}
 
 
-def test_a_transaction_run_holds_at_most_1500_live_bytes_per_transaction():
+def test_a_transaction_run_holds_at_most_500_live_bytes_per_transaction():
     # What a run still holds once it is over, per transaction: mostly the
-    # active server's cached responses (about 700 bytes) and the
-    # participants' executed sets.  With every history copied and kept
-    # after execution, and every server log kept whole, this was 2,347
-    # bytes; it is 1,194 now.  No oracle is attached here; the harness's
-    # EXEC index adds about 130 more.
+    # participants' executed sets.  A server drops a cached response once
+    # its host has confirmed every copy, so only the last few answers per
+    # host stay.  With every history copied and kept after execution, and
+    # every server log kept whole, this was 2,347 bytes; with every
+    # response cached for the run, 1,207; it is 295 now.  No oracle is
+    # attached here; the harness's EXEC index adds about 130 more.
     rt = OrderingRuntime(config_from_dict({
         "seed": 5, "duration_us": 4_000_000, "num_client_nodes": 8,
         "num_order_servers": 3,
@@ -115,7 +116,26 @@ def test_a_transaction_run_holds_at_most_1500_live_bytes_per_transaction():
     finally:
         tracemalloc.stop()
     assert all(tx.done_us >= 0 for tx in rt.txs.values())
-    assert grown <= 1500 * len(rt.txs)
+    assert grown <= 500 * len(rt.txs)
+
+
+def test_a_host_sends_no_copy_of_an_answered_transaction():
+    # A reject's backoff still pending when an earlier copy's answer
+    # lands: the retry timer then fires for an answered transaction.
+    rt = OrderingRuntime(tx_cfg(
+        duration_us=2_000_000,
+        workload={"kind": "transactions", "arrival_rate_per_s": 5.0,
+                  "participant_count_dist": 3, "ordering": "SERVICE",
+                  "backoff_base_us": 10_000}))
+    tx = min(rt.txs.values(), key=lambda t: t.born_us)
+    rt.engine.run_until(tx.born_us)  # the first copy goes out
+    # a reject lands at +1 ms; the answer at +3 ms; the retry at +11 ms
+    rt.engine.send(1002, tx.host, "ORDER_REJECT", tx.tx_id, None)
+    rt.engine.run_until(rt.cfg.duration_us)
+    assert tx.responded
+    kinds = [r.event_kind for r in rt.engine.trace if r.msg_id == tx.tx_id]
+    assert "ORDER_RETRY" not in kinds
+    assert kinds.count("ORDER_RESP") == 1
 
 
 def test_broadcast_runtime_with_drops_stays_consistent():
