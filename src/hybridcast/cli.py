@@ -12,7 +12,7 @@ import json
 import sys
 
 from .config import load_config
-from .delays import DelayBoundConfig, DelayEstimator, compute_D
+from .delays import DelayEstimator, compute_D
 from .errors import ConfigError, HybridcastError, IncompleteTraceError
 from .harness import run_scenario, sweep, sweep_csv_lines
 from .oracle import check_total_order
@@ -110,10 +110,8 @@ def _cmd_estimate_d(args) -> int:
         print(f"error: --window must be positive, got {args.window}",
               file=sys.stderr)
         return 2
-    cfg = DelayBoundConfig(percentile=args.percentile, eta_us=args.eta,
-                           theta_us=args.theta, epsilon_us=args.epsilon,
-                           safety_margin_us=args.margin)
-    estimator = DelayEstimator(cfg, window_size=args.window)
+    estimator = DelayEstimator(args.percentile, args.epsilon,
+                               window_size=args.window)
     try:
         with open(args.samples, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -135,7 +133,7 @@ def _cmd_estimate_d(args) -> int:
         report["per_origin_d_us"][str(origin)] = estimator.estimate(origin)
     d = estimator.worst_case()
     report["d_us"] = d
-    report["D_us"] = compute_D(d, cfg)
+    report["D_us"] = compute_D(d, args.eta, args.theta, args.margin)
     report["deadline_slack_us"] = report["D_us"] + args.epsilon
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from itertools import accumulate
 from operator import sub
@@ -46,19 +45,6 @@ _MIN_PRUNE_EVERY = 32  # samples between two prunes, at the least
 # and they fill 1/_COMPACT_SHARE of the arrival-order arrays
 _MIN_COMPACT = 16
 _COMPACT_SHARE = 8
-
-
-@dataclass(frozen=True)
-class DelayBoundConfig:
-    percentile: float = 0.9999
-    eta_us: int = 2000
-    theta_us: int = 1000
-    epsilon_us: int = 0
-    safety_margin_us: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.percentile < 1.0):
-            raise ValueError(f"percentile must be in (0,1), got {self.percentile}")
 
 
 def _rank(q: float, n: int) -> int:
@@ -194,24 +180,31 @@ class DelayDistribution:
         return self.value
 
 
-def compute_D(d_us: int, cfg: DelayBoundConfig) -> int:
-    """Insurance bound from the always-crash-during-copy-1 timeline."""
+def compute_D(d_us: int, eta_us: int, theta_us: int,
+              safety_margin_us: int = 0) -> int:
+    """Insurance bound from the always-crash-during-copy-1 timeline:
+    2*d + 2*eta + theta + margin, for worst-case delay ``d_us``, copy
+    spacing ``eta_us`` and relay stagger ``theta_us``."""
     if d_us <= 0:
         raise NonPositiveDelayError(f"worst-case delay {d_us}us is not positive")
-    return 2 * d_us + 2 * cfg.eta_us + cfg.theta_us + cfg.safety_margin_us
+    return 2 * d_us + 2 * eta_us + theta_us + safety_margin_us
 
 
 class DelayEstimator:
-    """Per-origin delay windows owned by one node, at ``cfg.percentile``.
+    """Per-origin windows of the last ``window_size`` delays owned by one
+    node, each read at ``percentile``; ``default_d_us`` stands in before
+    any sample.
 
-    Raw observations within ``cfg.epsilon_us`` below zero are clamped to
-    1us (clock error makes them explicable); anything worse is discarded
-    and counted.
+    ``epsilon_us`` is the clock synchronization accuracy.  Raw
+    observations within it below zero are clamped to 1us (clock error
+    makes them explicable); anything worse is discarded and counted.
+    Every estimate adds it back once.
     """
 
-    def __init__(self, cfg: DelayBoundConfig, window_size: int = 10_000,
-                 default_d_us: int = 20_000):
-        self.cfg = cfg
+    def __init__(self, percentile: float, epsilon_us: int = 0,
+                 window_size: int = 10_000, default_d_us: int = 20_000):
+        self.percentile = percentile
+        self.epsilon_us = epsilon_us
         self.window_size = window_size
         self.default_d_us = default_d_us
         self.per_origin: dict[int, DelayDistribution] = {}
@@ -219,7 +212,7 @@ class DelayEstimator:
 
     def record(self, origin: int, raw_delay_us: int):
         if raw_delay_us <= 0:
-            if raw_delay_us > -self.cfg.epsilon_us:
+            if raw_delay_us > -self.epsilon_us:
                 raw_delay_us = 1
             else:
                 self.discarded += 1
@@ -227,13 +220,13 @@ class DelayEstimator:
         dist = self.per_origin.get(origin)
         if dist is None:
             dist = self.per_origin[origin] = DelayDistribution(
-                self.window_size, self.cfg.percentile)
+                self.window_size, self.percentile)
         dist.observe(raw_delay_us)
 
     def estimate(self, origin: int) -> int:
         """Pessimistic worst-case delay from one origin: its percentile
         plus the clock accuracy."""
-        return self.per_origin[origin].value + self.cfg.epsilon_us
+        return self.per_origin[origin].value + self.epsilon_us
 
     def worst_case(self) -> int:
         """Max over origins of the pessimistic estimate; a prior before data."""
@@ -241,4 +234,4 @@ class DelayEstimator:
         for dist in self.per_origin.values():
             if dist.value > best:
                 best = dist.value
-        return best + self.cfg.epsilon_us if best else self.default_d_us
+        return best + self.epsilon_us if best else self.default_d_us

@@ -11,8 +11,9 @@ higher seq, or the sender's own vector) is lost, and its retransmission
 is requested at once.  A gap known only from a third party's vector or
 from a relayed copy may be a copy still in flight: its request waits one
 arrival window, the node's one-way delay estimate, goes out at once if
-proof comes first, and is dropped if the copy lands.  In GMD_ONLY mode
-that is all: one copy, no relay, no deadline.
+proof comes first, and is dropped if the copy lands.  Each hole is one
+entry in ``holes``, its request count.  In GMD_ONLY mode that is all: one
+copy, no relay, no deadline.
 
 In the hybrid modes every broadcast goes out as two redundant copies
 separated by eta, and a receiver that saw only one copy re-broadcasts
@@ -28,9 +29,20 @@ timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
 earlier-timestamped message.  Only the head of the delivery order can
 be delivered, so a node arms one deadline timer, for the head's
-deadline.  In HYBRID_ON_SUSPICION the heartbeat is
-the node's ack record with a fresh promise, so a lost ack is replaced
-within one heartbeat interval.
+deadline.  In HYBRID_ON_SUSPICION the heartbeat is the node's ack
+record with a fresh promise, so a lost ack is replaced within one
+heartbeat interval, and the same tick checks every peer for silence.
+
+A node's timers, by key:
+
+- ``("copy2", mid)``: send copy 2 of ``mid``, eta after copy 1, as its
+  sender or as relayer;
+- ``("second", mid)``: copy 2 of another member's ``mid`` is overdue, so
+  relay both copies;
+- ``("deadline",)``: the head's deadline;
+- ``("retx", sender, seq)``: a hole's request waits out its window, or,
+  theta after a request, goes again to the next member in turn;
+- ``("hb",)``: HYBRID_ON_SUSPICION's heartbeat tick.
 
 Per message a node keeps one record, its ``store`` entry: the first
 copy to arrive (the ``InsuranceMessage`` itself, shared by every
@@ -51,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .delays import DelayBoundConfig, DelayEstimator, compute_D
+from .delays import DelayEstimator, compute_D
 from .gmd import GmdNodeState, msg_id_str
 
 MODE_GMD_ONLY = "GMD_ONLY"
@@ -104,29 +116,24 @@ class InsuranceNode:
         self.params = params
         self.mode = params.mode
         self.gmd = GmdNodeState(node_id, membership)
-        self.bound_cfg = DelayBoundConfig(
-            percentile=params.percentile, eta_us=params.eta_us,
-            theta_us=params.theta_us, epsilon_us=params.epsilon_us,
-            safety_margin_us=params.safety_margin_us)
-        self.estimator = DelayEstimator(self.bound_cfg, params.window_size,
-                                        params.default_d_us)
+        self.estimator = DelayEstimator(
+            params.percentile, params.epsilon_us, params.window_size,
+            params.default_d_us)
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
         self.contig: dict[int, int] = {}
         # sender -> lowest seq not yet collected; every seq below it was
         # delivered here and is held by every member
         self._floor: dict[int, int] = {}
-        self.gaps: dict[int, set] = {}
-        self._open_gaps = 0  # total size of the sets in gaps
+        # (sender, seq) -> requests sent for it, or -1 while the first
+        # request waits out its arrival window
+        self.holes: dict[tuple, int] = {}
         self.deadlines: dict[tuple, int] = {}
         self._wake_at = 0  # when the pending ("deadline",) timer fires
         self.max_deadline_D = 0
         self.suspected: set[int] = set()
         self.last_heard: dict[int, int] = {}
         self._timers: dict = {}
-        # (sender, seq) -> next retry target's index; a hole enters it when
-        # its first request goes out
-        self._retx_round: dict[tuple, int] = {}
         self._relay_ranks: dict[int, int] = {}  # sender -> rank; per view
 
     # -- small helpers -----------------------------------------------------
@@ -223,37 +230,24 @@ class InsuranceNode:
         self._timers.pop(key, None)
         tag = key[0]
         if tag == "copy2":
-            mid = key[1]
-            held = self.store.get(mid)
-            if held is not None:
-                self._send_copy(replace(held, copy_index=2,
-                                        sent_ts=self.clock()))
+            self._resend(key[1], 2)
         elif tag == "second":
             self._relay(key[1])
-        elif tag == "relay2":
-            mid = key[1]
-            held = self.store.get(mid)
-            if held is not None:
-                self._send_copy(replace(held, copy_index=2,
-                                        relayed_by=self.node_id,
-                                        sent_ts=self.clock()))
         elif tag == "deadline":
             self._try_deliver()
         elif tag == "retx":
-            self._retry_retx(key[1], key[2], data)
+            if (key[1], key[2]) in self.holes:
+                self._send_retx(key[1], key[2], data)
         elif tag == "hb":
             self._send_ack("", self.gmd.new_promise(self.clock()))
             self._set_timer(("hb",), self.params.heartbeat_interval_us)
-        elif tag == "hbcheck":
             self._check_heartbeats()
-            self._set_timer(("hbcheck",), self.params.heartbeat_interval_us)
 
     def start_heartbeats(self):
         for peer in self.membership:
             if peer != self.node_id:
                 self.last_heard.setdefault(peer, self.engine.now)
         self._set_timer(("hb",), self.params.heartbeat_interval_us)
-        self._set_timer(("hbcheck",), self.params.heartbeat_interval_us)
 
     # -- receive path ------------------------------------------------------
 
@@ -307,12 +301,9 @@ class InsuranceNode:
     def _note_seq(self, sender: int, seq: int, via: int):
         """Account for (sender, seq), which has just entered ``store``."""
         store = self.store
-        gap_set = self.gaps.get(sender)
-        if gap_set and seq in gap_set:
-            gap_set.discard(seq)
-            self._open_gaps -= 1
+        if (sender, seq) in self.holes:
+            del self.holes[(sender, seq)]
             self._cancel(("retx", sender, seq))
-            self._retx_round.pop((sender, seq), None)
         c = self.contig.get(sender, -1)
         if seq == c + 1:
             while (sender, c + 1) in store:
@@ -334,38 +325,26 @@ class InsuranceNode:
         comes during the wait sends it at once, and the copy's arrival
         cancels it.  The hole blocks delivery either way.
         """
-        gap_set = self.gaps.setdefault(sender, set())
-        if seq not in gap_set:
-            gap_set.add(seq)
-            self._open_gaps += 1
-            if not proven:
-                self._set_timer(("retx", sender, seq), self.current_d(), target)
-                return
-        elif not proven or (sender, seq) in self._retx_round:
-            return  # still waiting without proof, or already requested
-        self._send_retx(sender, seq, target)
+        sent = self.holes.get((sender, seq))
+        if sent is None and not proven:
+            self.holes[(sender, seq)] = -1
+            self._set_timer(("retx", sender, seq), self.current_d(), target)
+        elif sent is None or (proven and sent < 0):
+            self._send_retx(sender, seq, target)
+        # else still waiting without proof, or already requested
 
-    def _send_retx(self, sender: int, seq: int, target: int):
-        if target == self.node_id:
-            target = self._next_retx_target(sender, seq)
-        self._retx_round.setdefault((sender, seq), 0)
+    def _send_retx(self, sender: int, seq: int, target):
+        """Ask ``target`` for the hole, or, on a retry after theta
+        (``target`` None), the next member in turn."""
+        sent = max(self.holes.get((sender, seq), 0), 0)
+        if target is None:
+            others = sorted(m for m in self.membership if m != self.node_id)
+            target = others[(sent - 1) % len(others)]
+        self.holes[(sender, seq)] = sent + 1
         self.engine.send(self.node_id, target, "RETX_REQ",
                          msg_id_str((sender, seq)), (sender, (seq,)),
                          {"frm": self.node_id})
         self._set_timer(("retx", sender, seq), self.params.theta_us)
-
-    def _next_retx_target(self, sender: int, seq: int) -> int:
-        others = sorted(m for m in self.membership if m != self.node_id)
-        idx = self._retx_round.get((sender, seq), 0)
-        self._retx_round[(sender, seq)] = idx + 1
-        return others[idx % len(others)]
-
-    def _retry_retx(self, sender: int, seq: int, target):
-        """A waiting request goes to ``target``; a retry after theta rotates."""
-        if seq in self.gaps.get(sender, set()):
-            if target is None:
-                target = self._next_retx_target(sender, seq)
-            self._send_retx(sender, seq, target)
 
     def _on_retx_req(self, frm: int, payload):
         sender, seqs = payload
@@ -382,9 +361,15 @@ class InsuranceNode:
         copy of it arrived, since a relay or the other copy cancels the
         timer, and ``_collect`` keeps the message while the timer is
         armed."""
-        self._send_copy(replace(self.store[mid], copy_index=1,
-                                relayed_by=self.node_id, sent_ts=self.clock()))
-        self._set_timer(("relay2", mid), self.params.eta_us)
+        self._resend(mid, 1)
+        self._set_timer(("copy2", mid), self.params.eta_us)
+
+    def _resend(self, mid: tuple, copy_index: int):
+        """Send copy ``copy_index`` of the held ``mid``: as its sender, or
+        as relayer of another member's message."""
+        relayer = None if mid[0] == self.node_id else self.node_id
+        self._send_copy(replace(self.store[mid], copy_index=copy_index,
+                                relayed_by=relayer, sent_ts=self.clock()))
 
     # -- deadlines and delivery --------------------------------------------
 
@@ -392,8 +377,9 @@ class InsuranceNode:
         if mid in self.deadlines:
             return
         d = max(sender_d, self.current_d())
-        bound = compute_D(d, self.bound_cfg)
-        deadline = ts + bound + self.params.epsilon_us
+        p = self.params
+        bound = compute_D(d, p.eta_us, p.theta_us, p.safety_margin_us)
+        deadline = ts + bound + p.epsilon_us
         self.deadlines[mid] = deadline
         if bound > self.max_deadline_D:
             self.max_deadline_D = bound
@@ -401,16 +387,18 @@ class InsuranceNode:
     def _gap_blocks(self, m_ts: int) -> bool:
         """Whether a hole may hide a message ordered before ``m_ts``.
 
-        A sender's lowest hole is ``contig + 1``, the entry at ``contig``
-        is held (``_collect`` stops below it) and its later holes sit
-        above later timestamps, so the message at ``contig`` decides; a
-        sender with no message held below its hole blocks.
+        A sender with a hole has one at ``contig + 1``, its lowest: holes
+        open for every missing seq up to the evidence, and ``contig``
+        moves only as its next seq fills.  The entry at ``contig`` is held
+        (``_collect`` stops below it) and later holes sit above later
+        timestamps, so the message at ``contig`` decides; a sender with no
+        message held below its hole blocks.
         """
-        if not self._open_gaps:
-            return False
-        for sender, gap_set in self.gaps.items():
-            if gap_set:
-                below = self.store.get((sender, self.contig.get(sender, -1)))
+        contig, store = self.contig, self.store
+        for sender, seq in self.holes:
+            c = contig.get(sender, -1)
+            if seq == c + 1:
+                below = store.get((sender, c))
                 if below is None or below.ts < m_ts:
                     return True
         return False
@@ -466,12 +454,13 @@ class InsuranceNode:
         message, its seq is below ``contig[sender]`` (``_gap_blocks``
         reads the ts below a hole from the entry at ``contig``), the
         newest vector of every current member but the sender (which holds
-        its own messages) covers it, and no ``copy2``, ``second`` or
-        ``relay2`` timer will still send it.  Collection runs up from ``_floor[sender]`` and
-        stops at the first message that fails.  A member asks for a
-        retransmission only before it holds the message, and its request
-        travels the same FIFO link ahead of the vector that covers it, so
-        no request can reach a collected message.
+        its own messages) covers it, and no timer will still send it: a
+        ``second`` timer relays it, and a ``copy2`` timer sends its copy 2,
+        this node's own or one it relays.  Collection runs up from
+        ``_floor[sender]`` and stops at the first message that fails.  A
+        member asks for a retransmission only before it holds the message,
+        and its request travels the same FIFO link ahead of the vector that
+        covers it, so no request can reach a collected message.
         """
         limit = self.contig.get(sender, -1) - 1
         acks = self.gmd.acks
@@ -488,8 +477,7 @@ class InsuranceNode:
         while q <= limit:
             mid = (sender, q)
             if (mid in pending or ("copy2", mid) in timers
-                    or ("second", mid) in timers
-                    or ("relay2", mid) in timers):
+                    or ("second", mid) in timers):
                 break
             del store[mid]
             q += 1

@@ -308,12 +308,13 @@ class ParticipantState:
         return self._drain()
 
     def _executable(self, tx_id: str) -> bool:
+        """No preceding transaction of ours is unordered or unexecuted.
+        An executed one has left ``pending_participations`` for good."""
         _, history = self.known_orders[tx_id]
+        pending = self.pending_participations
         for dep in history:
-            if dep in self.executed_set:
-                continue
-            if dep in self.pending_participations:
-                return False  # a preceding transaction of ours is unordered/unexecuted
+            if dep in pending:
+                return False
         return True
 
     def _drain(self) -> list[tuple]:

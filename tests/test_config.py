@@ -37,6 +37,8 @@ def test_range_violations_are_invalid_not_parse_errors():
     for bad in (
         dict(MINIMAL, duration_us=0),
         dict(MINIMAL, percentile=1.5),
+        dict(MINIMAL, percentile=1.0),
+        dict(MINIMAL, percentile=0.0),
         dict(MINIMAL, mode="TURBO"),
         dict(MINIMAL, eta_us=-1),
         dict(MINIMAL, num_client_nodes=0),

@@ -4,12 +4,7 @@ import tracemalloc
 
 import pytest
 
-from hybridcast.delays import (
-    DelayBoundConfig,
-    DelayDistribution,
-    DelayEstimator,
-    compute_D,
-)
+from hybridcast.delays import DelayDistribution, DelayEstimator, compute_D
 from hybridcast.errors import EmptyWindowError, NonPositiveDelayError
 
 
@@ -117,60 +112,50 @@ class TestDelayDistribution:
 
 class TestBound:
     def test_compute_D_frozen_value(self):
-        cfg = DelayBoundConfig(eta_us=2000, theta_us=1000, epsilon_us=100,
-                               safety_margin_us=50)
         # crash-during-copy-1 worst case: d + eta + theta + eta + d + margin
         # = 2*10000 + 2*2000 + 1000 + 50
-        assert compute_D(10_000, cfg) == 25_050
+        assert compute_D(10_000, eta_us=2000, theta_us=1000,
+                         safety_margin_us=50) == 25_050
 
     def test_compute_D_rejects_nonpositive_d(self):
         with pytest.raises(NonPositiveDelayError):
-            compute_D(0, DelayBoundConfig())
+            compute_D(0, 2000, 1000)
 
     def test_estimate_adds_clock_accuracy(self):
-        est = DelayEstimator(DelayBoundConfig(percentile=0.5, epsilon_us=40),
-                             window_size=10)
+        est = DelayEstimator(0.5, epsilon_us=40, window_size=10)
         for v in (100, 200, 300):
             est.record(1, v)
         assert est.estimate(1) == 200 + 40
         assert est.worst_case() == 200 + 40
 
-    def test_percentile_validated(self):
-        with pytest.raises(ValueError):
-            DelayBoundConfig(percentile=1.0)
-        with pytest.raises(ValueError):
-            DelayBoundConfig(percentile=0.0)
-
 
 class TestDelayEstimator:
     def test_default_before_samples(self):
-        est = DelayEstimator(DelayBoundConfig(), window_size=10,
-                             default_d_us=12_345)
+        est = DelayEstimator(0.9999, window_size=10, default_d_us=12_345)
         assert est.worst_case() == 12_345
 
     def test_clamps_small_negative_to_one(self):
-        est = DelayEstimator(DelayBoundConfig(epsilon_us=100), window_size=10)
+        est = DelayEstimator(0.9999, epsilon_us=100, window_size=10)
         est.record(3, -50)
         assert len(est.per_origin[3]) == 1
         assert est.per_origin[3].quantile() == 1
         assert est.discarded == 0
 
     def test_discards_impossible_negative(self):
-        est = DelayEstimator(DelayBoundConfig(epsilon_us=100), window_size=10)
+        est = DelayEstimator(0.9999, epsilon_us=100, window_size=10)
         est.record(3, -500)
         assert 3 not in est.per_origin
         assert est.discarded == 1
 
     def test_worst_case_is_max_over_origins(self):
-        est = DelayEstimator(DelayBoundConfig(percentile=0.9999),
-                             window_size=10)
+        est = DelayEstimator(0.9999, window_size=10)
         for _ in range(5):
             est.record(1, 100)
             est.record(2, 900)
         assert est.worst_case() == 900
 
     def test_windows_take_the_configured_percentile(self):
-        est = DelayEstimator(DelayBoundConfig(percentile=0.5), window_size=10)
+        est = DelayEstimator(0.5, window_size=10)
         for v in (100, 200, 300, 400, 500):
             est.record(1, v)
         assert est.per_origin[1].q == 0.5

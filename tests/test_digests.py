@@ -102,7 +102,7 @@ DIGESTS = {  # name -> (trace.csv, metrics.json)
         "b4041e5e1e4a81bc893739905bf8d8258d43e55eba78b77a82237e46db23de65"),
     "on-suspicion": (
         "c2f46ec56ac8162156f8b6a0717abe5205095d143f343993252c286bb899fe5c",
-        "58b311968fd0abc0196e1348fe779899c72d52353cc4ed719d18ee0f30f49bc3"),
+        "826670b100e04c7ee7f3e555ec9edf13ff78d731b4bcb60b162b008ec0fec79a"),
     "service-takeover": (
         "a1e0801a737d9ea23577cda9f39af7240090ed7533fb061ee1aeb65b2a323b32",
         "5859787278ba0c67dd231cf60c93e0e15460f5d4d53db78fbce3e290298a7c01"),

@@ -47,6 +47,8 @@ def test_two_copies_go_out_eta_apart():
     t1 = min(t for c, t in copies if c == "1")
     t2 = min(t for c, t in copies if c == "2")
     assert t2 - t1 == 2000
+    # a live sender's own copy 2 names no relayer
+    assert not any("relay" in r.detail_dict() for r in sends)
 
 
 def test_crash_free_broadcast_uses_gmd_path():
@@ -158,8 +160,9 @@ def test_early_copy1_relays_no_sooner_than_window_from_broadcast():
 def test_rank0_relays_by_window_end_and_survivors_meet_deadline():
     eng, nodes, mid, relays = crash_after_copy1()
     assert min(t for t, frm in relays if frm == 1) <= relay_window_end(nodes, mid)
-    held, node = nodes[0].store[mid], nodes[1]
-    limit = held.ts + compute_D(held.d_i, node.bound_cfg) + node.params.epsilon_us
+    held, p = nodes[0].store[mid], nodes[1].params
+    limit = (held.ts + compute_D(held.d_i, p.eta_us, p.theta_us,
+                                 p.safety_margin_us) + p.epsilon_us)
     for i in (1, 2, 3):
         assert delivered(nodes[i]) == [mid]
     for rec in eng.trace.of_kind("DELIVER"):
@@ -191,6 +194,18 @@ def test_second_copy_inside_window_cancels_relay():
     assert not [s for s in sent if s[2] == "INS_RELAY"]
     for node in nodes.values():
         assert delivered(node) == [mid]
+
+
+def test_a_relayer_sends_both_copies_eta_apart_under_its_name():
+    # one copy2 timer sends copy 2, of this node's own message or of the
+    # one it relays, and a relayed copy names its relayer
+    eng = crash_after_copy1()[0]
+    from_rank0 = [(r.sim_time_us, r.detail_dict())
+                  for r in eng.trace.of_kind("INS_RELAY")
+                  if r.node == 2 and r.detail_dict()["frm"] == "1"]
+    assert [(d["copy"], d["relay"]) for _, d in from_rank0] == [
+        ("1", "1"), ("2", "1")]
+    assert from_rank0[1][0] - from_rank0[0][0] == ANCHOR["eta_us"]
 
 
 def lose_copies(eng, to, seqs=None, copies=(1, 2)):
@@ -251,10 +266,10 @@ def test_hole_seen_in_a_third_party_vector_waits_one_window():
     eng.run_until(THIRD_PARTY_ACK_AT)
     node = nodes[2]
     window = node.current_d()
-    assert node.gaps[0] == {0}
+    assert set(node.holes) == {(0, 0)}
     assert node._gap_blocks(node.clock() + 1_000_000)  # blocks as before
     eng.run_until(THIRD_PARTY_ACK_AT + window - 1)
-    assert node.gaps[0] == {0}
+    assert set(node.holes) == {(0, 0)}
     assert first_requests(sent, 2) == {}
 
 
@@ -314,10 +329,10 @@ def test_known_gap_blocks_delivery_of_later_timestamps():
     node = nodes[2]
     # evidence of sender 0's seq 0 and 1 while only seq 1 arrived
     hold(node, 0, 1, 5000)
-    assert node.gaps[0] == {0}
+    assert set(node.holes) == {(0, 0)}
     assert node._gap_blocks(6000)  # the hole may hide any smaller timestamp
     hold(node, 0, 0, 4000)
-    assert not node.gaps[0]
+    assert not node.holes
     assert node.contig[0] == 1
     assert not node._gap_blocks(6000)
 
@@ -378,7 +393,7 @@ def test_a_head_past_its_deadline_is_delivered_when_its_hole_fills():
     node.on_message(0, "INS_MSG", "0:1",
                     InsuranceMessage((0, 1), 1000, 5000, 1, sent_ts=1000))
     deadline = node.deadlines[(0, 1)]
-    assert node.gaps[0] == {0}
+    assert set(node.holes) == {(0, 0)}
     assert armed == [deadline]  # one wake, at the head's deadline
     eng.run_until(deadline + 50_000)
     assert delivered(node) == []  # the hole blocks the head

@@ -1,13 +1,16 @@
 import heapq
+import itertools
 import math
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
 from hybridcast.config import config_from_dict
-from hybridcast.delays import DelayBoundConfig, DelayDistribution, compute_D
+from hybridcast.delays import DelayDistribution, compute_D
 from hybridcast.gmd import GmdNodeState
 from hybridcast.harness import run_scenario
-from hybridcast.insurance import InsuranceNode, ProtocolParams
+from hybridcast.insurance import (InsuranceAck, InsuranceMessage,
+                                  InsuranceNode, ProtocolParams)
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
 from hybridcast.ordering import ADMIT, REJECT, OrderRequest, OrderServerState
 
@@ -110,15 +113,11 @@ def test_quantile_matches_sorted_window_oracle(values, window, q):
     margin=st.integers(min_value=0, max_value=10**6),
 )
 def test_deadline_bound_monotone_in_every_input(d, bump, eta, theta, margin):
-    cfg = DelayBoundConfig(eta_us=eta, theta_us=theta, safety_margin_us=margin)
-    base = compute_D(d, cfg)
-    assert compute_D(d + bump, cfg) >= base
-    assert compute_D(d, DelayBoundConfig(eta_us=eta + bump, theta_us=theta,
-                                         safety_margin_us=margin)) >= base
-    assert compute_D(d, DelayBoundConfig(eta_us=eta, theta_us=theta + bump,
-                                         safety_margin_us=margin)) >= base
-    assert compute_D(d, DelayBoundConfig(eta_us=eta, theta_us=theta,
-                                         safety_margin_us=margin + bump)) >= base
+    base = compute_D(d, eta, theta, margin)
+    assert compute_D(d + bump, eta, theta, margin) >= base
+    assert compute_D(d, eta + bump, theta, margin) >= base
+    assert compute_D(d, eta, theta + bump, margin) >= base
+    assert compute_D(d, eta, theta, margin + bump) >= base
 
 
 # -- promise invariant ---------------------------------------------------------
@@ -235,6 +234,71 @@ def test_duplicated_messages_change_nothing(knobs):
     doubled = _run_cluster(knobs["seed"], knobs["senders"], duplicate=True)
     assert doubled == plain
     assert all(len(seq) == len(knobs["senders"]) for seq in plain.values())
+
+
+# -- hole invariant ----------------------------------------------------------
+
+# Members 1-3 broadcast, relay and ack, each over its own FIFO link to node
+# 0, which receives or loses the item at the head of a link.  Before it
+# acks, a member catches up on up to ``arg`` more of each other member's
+# messages, in seq order.
+hole_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),  # the member that acts
+        st.sampled_from(["bcast", "ack", "relay", "arrive", "arrive", "lose"]),
+        st.integers(min_value=0, max_value=7),  # catch-up, or which to relay
+    ),
+    min_size=10, max_size=80)
+
+
+def _contig(seqs) -> int:
+    c = -1
+    while c + 1 in seqs:
+        c += 1
+    return c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hole_steps)
+def test_a_sender_with_a_hole_has_one_just_above_its_watermark(steps):
+    """Whatever reaches node 0, in any order, after every step each
+    sender with an open hole has one at ``contig + 1``, and no hole names
+    a held message: the premise of ``_gap_blocks``."""
+    eng = Engine(1, NetworkModel(DelaySpec("fixed", value_us=1000)))
+    members = [0, 1, 2, 3]
+    node = InsuranceNode(eng, 0, members, ProtocolParams())
+    eng.add_node(0, on_message=node.on_message, on_timer=node.on_timer)
+    stamp = itertools.count(1)  # timestamps and promises, rising
+    ts = {}  # msg id -> its timestamp
+    held = {m: {s: set() for s in members} for m in members}
+    links = {m: deque() for m in members}  # the FIFO link from m to node 0
+    for m, action, arg in steps:
+        link = links[m]
+        if action == "bcast":
+            mid = (m, len(held[m][m]))
+            ts[mid] = next(stamp)
+            held[m][m].add(mid[1])
+            link.append(("INS_MSG", InsuranceMessage(mid, ts[mid], 1000, 1)))
+        elif action == "ack":
+            for s in members:
+                for q in sorted(held[s][s] - held[m][s])[:arg]:
+                    held[m][s].add(q)
+            seen = {s: _contig(held[m][s]) for s in members if held[m][s]}
+            link.append(("INS_ACK", InsuranceAck(m, next(stamp), seen)))
+        elif action == "relay":
+            mids = [(s, q) for s in members if s != m
+                    for q in sorted(held[m][s])]
+            if mids:
+                mid = mids[arg % len(mids)]
+                link.append(("INS_RELAY", InsuranceMessage(
+                    mid, ts[mid], 1000, 1, relayed_by=m)))
+        elif link:
+            kind, item = link.popleft()
+            if action == "arrive":
+                node.on_message(m, kind, "", item)
+        for sender, seq in node.holes:
+            assert (sender, node.contig.get(sender, -1) + 1) in node.holes
+            assert (sender, seq) not in node.store
 
 
 # -- order-service response cache ----------------------------------------------
