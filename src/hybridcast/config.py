@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 from .errors import ConfigInvalidError, ConfigParseError
 from .insurance import MODES, MODE_HYBRID
 from .kernel import DelaySpec, NetworkModel
-from .ordering import MODE_DIRECT, MODE_SERVICE
+from .ordering import MODE_DIRECT, MODE_SERVICE, SERVER_BASE
 
 _DELAY_FIELDS = {
     "fixed": {"value_us"},
@@ -188,12 +188,36 @@ def validate_config(cfg: ScenarioConfig):
     positive("workload.participant_count_dist", cfg.workload.participant_count_dist)
     if cfg.admission.rate_per_s < 0:
         raise ConfigInvalidError("admission.rate_per_s must be non-negative")
+    named, nodes = "a client", list(range(cfg.num_client_nodes))
+    if cfg.workload.kind == "transactions":
+        named = "a client or an order server"
+        nodes += range(SERVER_BASE, SERVER_BASE + cfg.num_order_servers)
     for entry in cfg.crash_schedule:
-        if set(entry) != {"node", "at_us"}:
-            raise ConfigParseError(
-                f"crash_schedule entries need exactly node/at_us, got {entry}")
+        _check_entry("crash_schedule", entry, ("node", "at_us"))
+        node = entry["node"]
+        if not _is_int(node) or node not in nodes:
+            raise ConfigInvalidError(
+                f"crash_schedule node must name {named}, got {node!r}")
+    for entry in cfg.network.shifts:
+        _check_entry("network.shifts", entry, ("at_us", "delay"))
     # exercised for parse errors too
     cfg.build_network()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_entry(where: str, entry, keys: tuple):
+    """A schedule entry has exactly ``keys``, and its ``at_us`` is a
+    time: simulated time is a non-negative integer."""
+    if not isinstance(entry, dict) or set(entry) != set(keys):
+        raise ConfigParseError(
+            f"{where} entries need exactly {'/'.join(keys)}, got {entry!r}")
+    at_us = entry["at_us"]
+    if not _is_int(at_us) or at_us < 0:
+        raise ConfigInvalidError(
+            f"{where} at_us must be a non-negative integer, got {at_us!r}")
 
 
 def load_config(path) -> ScenarioConfig:

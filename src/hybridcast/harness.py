@@ -106,7 +106,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 
 def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:
-    cases = CaseIndex()
+    cases = CaseIndex(members=rt.membership)
     rt.engine.trace.on_record = cases.add
     events = rt.engine.run_until(cfg.duration_us)
     metrics = RunMetrics(events_processed=events,
@@ -114,8 +114,7 @@ def _run_broadcast(cfg: ScenarioConfig, rt: AbcastRuntime) -> RunResult:
                          sends_by_kind=dict(rt.engine.send_counts))
     metrics.latency_percentiles = latency_percentiles(cases.latencies)
     metrics.insurance_D_us = rt.max_deadline_bound()
-    metrics.undelivered_at_end = cases.undelivered(
-        rt.engine.operative_nodes())
+    metrics.undelivered_at_end = cases.undelivered(cases.operative_nodes())
     delivered = cases.delivered
     metrics.delivered_total = len(delivered)
     if rt.messages_total:

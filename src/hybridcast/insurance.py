@@ -1,10 +1,11 @@
 """Proactive synchronous insurance overlay on the GMD abcast.
 
 Every broadcast carries a per-sender sequence number, and every ack is
-one record: the acker, its promise timestamp and its seen-vector, the
-per-sender contiguous sequence watermarks of what it holds.  The GMD
-core delivers from each member's newest vector, and receivers use the
-same vectors, and the seqs of arriving copies, to detect gaps, which
+one record: a promise timestamp and a seen-vector, the per-sender
+contiguous sequence watermarks of what the acker holds.  Acks are never
+forwarded, so the acker is the sender of the link it came over.  The
+GMD core delivers from each member's newest vector, and receivers use
+the same vectors, and the seqs of arriving copies, to detect gaps, which
 block both delivery paths until filled.  Links are FIFO, so a gap that
 the sender's own link shows (a copy straight from the sender with a
 higher seq, or the sender's own vector) is lost, and its retransmission
@@ -88,37 +89,27 @@ class InsuranceMessage:
 
 @dataclass(frozen=True)
 class InsuranceAck:
-    acker: int
     promise: int
     seen: dict  # sender -> contiguous watermark
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    mode: str = MODE_HYBRID
-    eta_us: int = 2000
-    theta_us: int = 1000
-    epsilon_us: int = 100
-    percentile: float = 0.9999
-    safety_margin_us: int = 0
-    window_size: int = 10_000
-    default_d_us: int = 20_000
-    heartbeat_interval_us: int = 1_000_000
-    suspicion_timeout_us: int = 3_000_000
-
-
 class InsuranceNode:
-    """One protocol node driven by kernel arrivals and timers."""
+    """One protocol node driven by kernel arrivals and timers.
 
-    def __init__(self, engine, node_id: int, membership, params: ProtocolParams):
+    ``cfg`` is the scenario config; the node reads its ``mode``,
+    ``eta_us``, ``theta_us``, ``epsilon_us``, ``percentile``,
+    ``safety_margin_us``, ``window_size``, ``default_d_us``,
+    ``heartbeat_interval_us`` and ``suspicion_timeout_us``.
+    """
+
+    def __init__(self, engine, node_id: int, membership, cfg):
         self.engine = engine
         self.node_id = node_id
-        self.params = params
-        self.mode = params.mode
+        self.cfg = cfg
+        self.mode = cfg.mode
         self.gmd = GmdNodeState(node_id, membership)
         self.estimator = DelayEstimator(
-            params.percentile, params.epsilon_us, params.window_size,
-            params.default_d_us)
+            cfg.percentile, cfg.epsilon_us, cfg.window_size, cfg.default_d_us)
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
         self.contig: dict[int, int] = {}
@@ -187,7 +178,7 @@ class InsuranceNode:
                               msg_id_str(mid), {"ts": ts, "d": d_i})
         self._send_copy(msg)
         if self.mode != MODE_GMD_ONLY:
-            self._set_timer(("copy2", mid), self.params.eta_us)
+            self._set_timer(("copy2", mid), self.cfg.eta_us)
         self._try_deliver()
         return mid
 
@@ -211,7 +202,7 @@ class InsuranceNode:
         seen = dict(self.contig)
         self.engine.broadcast(
             self.node_id, self.membership, "INS_ACK", label,
-            InsuranceAck(self.node_id, promise, seen),
+            InsuranceAck(promise, seen),
             {"frm": self.node_id, "ats": promise, "seen": seen})
 
     # -- kernel entry points -----------------------------------------------
@@ -240,14 +231,14 @@ class InsuranceNode:
                 self._send_retx(key[1], key[2], data)
         elif tag == "hb":
             self._send_ack("", self.gmd.new_promise(self.clock()))
-            self._set_timer(("hb",), self.params.heartbeat_interval_us)
+            self._set_timer(("hb",), self.cfg.heartbeat_interval_us)
             self._check_heartbeats()
 
     def start_heartbeats(self):
         for peer in self.membership:
             if peer != self.node_id:
                 self.last_heard.setdefault(peer, self.engine.now)
-        self._set_timer(("hb",), self.params.heartbeat_interval_us)
+        self._set_timer(("hb",), self.cfg.heartbeat_interval_us)
 
     # -- receive path ------------------------------------------------------
 
@@ -264,7 +255,7 @@ class InsuranceNode:
             self._note_seq(mid[0], mid[1], frm)
             promise = self.gmd.on_receive(mid, msg.ts, self.clock())
             if msg.relayed_by is None and self.mode != MODE_GMD_ONLY:
-                p = self.params
+                p = self.cfg
                 wait = p.eta_us + (self._relay_rank(mid[0]) + 1) * p.theta_us
                 if msg.copy_index == 1:
                     # copy 2 is only overdue d_i after ts + eta, so wait from
@@ -282,7 +273,7 @@ class InsuranceNode:
 
     def _apply_ack(self, frm: int, ack: InsuranceAck):
         self.estimator.record(frm, self.clock() - ack.promise)
-        self.gmd.on_ack(ack.acker, ack.promise, ack.seen)
+        self.gmd.on_ack(frm, ack.promise, ack.seen)
         for sender, watermark in ack.seen.items():
             if sender == self.node_id:
                 continue
@@ -291,7 +282,7 @@ class InsuranceNode:
                 continue
             # the sender's own vector came over its FIFO link behind every
             # copy it counts, so those copies are lost, not in flight
-            proven = ack.acker == sender
+            proven = frm == sender
             for q in range(c + 1, watermark + 1):
                 if (sender, q) not in self.store:
                     self._open_gap(sender, q, frm, proven)
@@ -344,7 +335,7 @@ class InsuranceNode:
         self.engine.send(self.node_id, target, "RETX_REQ",
                          msg_id_str((sender, seq)), (sender, (seq,)),
                          {"frm": self.node_id})
-        self._set_timer(("retx", sender, seq), self.params.theta_us)
+        self._set_timer(("retx", sender, seq), self.cfg.theta_us)
 
     def _on_retx_req(self, frm: int, payload):
         sender, seqs = payload
@@ -362,7 +353,7 @@ class InsuranceNode:
         timer, and ``_collect`` keeps the message while the timer is
         armed."""
         self._resend(mid, 1)
-        self._set_timer(("copy2", mid), self.params.eta_us)
+        self._set_timer(("copy2", mid), self.cfg.eta_us)
 
     def _resend(self, mid: tuple, copy_index: int):
         """Send copy ``copy_index`` of the held ``mid``: as its sender, or
@@ -377,7 +368,7 @@ class InsuranceNode:
         if mid in self.deadlines:
             return
         d = max(sender_d, self.current_d())
-        p = self.params
+        p = self.cfg
         bound = compute_D(d, p.eta_us, p.theta_us, p.safety_margin_us)
         deadline = ts + bound + p.epsilon_us
         self.deadlines[mid] = deadline
@@ -521,7 +512,7 @@ class InsuranceNode:
             if peer == self.node_id:
                 continue
             silent = now - self.last_heard.get(peer, 0)
-            if silent > self.params.suspicion_timeout_us:
+            if silent > self.cfg.suspicion_timeout_us:
                 self.on_suspect(peer)
             elif peer in self.suspected:
                 self.on_suspicion_false(peer)

@@ -140,9 +140,6 @@ class Engine:
     def is_crashed(self, node_id: int) -> bool:
         return node_id in self.crashed
 
-    def operative_nodes(self):
-        return [n for n in self.clocks if n not in self.crashed]
-
     # -- scheduling --------------------------------------------------------
 
     def _push(self, fire_time: int, target: int, entry) -> int:

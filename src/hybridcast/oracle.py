@@ -198,11 +198,13 @@ class CaseIndex:
     """Index for per-pair case classification, fed record by record (or
     built from a whole trace); it keeps the DELIVER ``OrderIndex`` too."""
 
-    def __init__(self, trace: Optional[Trace] = None):
+    def __init__(self, trace: Optional[Trace] = None, members=()):
         self.delivered = OrderIndex("DELIVER")
         self.numbers = self.delivered.numbers  # one numbering for both
         self.crashed: dict[int, int] = {}
-        self.nodes: dict[int, _NodeFacts] = {}  # every node in a record
+        # every node in a record, and every one of ``members``: a member
+        # that nothing reached has missed every broadcast
+        self.nodes: dict[int, _NodeFacts] = {n: _NodeFacts() for n in members}
         self.path_counts: dict[str, int] = {}  # path -> pairs delivered by it
         self.latencies = array("q")  # BCAST to the sender's own DELIVER
         # per message number, from its BCAST

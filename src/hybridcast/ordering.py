@@ -47,6 +47,8 @@ REJECT = "REJECT"
 MODE_SERVICE = "SERVICE"
 MODE_DIRECT = "DIRECT"
 
+SERVER_BASE = 1000  # order server node ids start here
+
 
 @dataclass(frozen=True)
 class OrderRequest:
@@ -89,9 +91,8 @@ class OrderServerState:
     A request is admitted (``admit``), then numbered (``assign``)."""
 
     def __init__(self, rate_per_s: float = 1000.0, burst: int = 100,
-                 history_depth: int = 16, admission_enabled: bool = True,
-                 first_order_no: int = 1):
-        self.next_order_no = first_order_no
+                 history_depth: int = 16, admission_enabled: bool = True):
+        self.next_order_no = 1
         self.history_depth = history_depth
         # participant -> ids of its last history_depth transactions
         self.per_participant_log: dict[int, deque] = {}
@@ -204,62 +205,61 @@ class OrderServer:
         self.state = state
         self.service_time_us = service_time_us
         self.jump_gap = jump_gap
-        self.queue: deque = deque()  # (request, origin); served when nonempty
+        self.queue: deque = deque()  # admitted requests; served when nonempty
         self.max_queue = 0
 
     def on_message(self, frm: int, kind: str, msg_id: str, payload):
         if kind in ("ORDER_REQ", "ORDER_RETRY"):
-            self._ingest(payload, payload.tx_host)
+            self._ingest(payload)
         elif kind == "SEQ_FWD":
-            req, origin = payload
-            self._ingest(req, origin, forwarded=True)
+            self._ingest(payload, forwarded=True)
         elif kind == "SEQ_NOTE":
             self.state.mirror(payload)
 
     def on_timer(self, key, data):
         if key[0] == "serve":
-            req, origin = self.queue.popleft()
-            self._assign(req, origin)
+            self._assign(self.queue.popleft())
             if self.queue:
                 self.engine.set_timer(self.node_id, self.service_time_us,
                                       ("serve",))
         elif key[0] == "promote":
             self._promote()
 
-    def _ingest(self, req: OrderRequest, origin: int, forwarded=False):
+    def _ingest(self, req: OrderRequest, forwarded=False):
         engine = self.engine
         if self.node_id != self.active and not forwarded:
             engine.send(self.node_id, self.active, "SEQ_FWD", req.tx_id,
-                        (req, origin), {"via": self.node_id})
+                        req, {"via": self.node_id})
             return
         verdict = self.state.admit(req, engine.now)
         if verdict == REJECT:
             engine.trace.add(engine.now, self.node_id, "REJECT", req.tx_id)
-            engine.send(self.node_id, origin, "ORDER_REJECT", req.tx_id, None)
+            engine.send(self.node_id, req.tx_host, "ORDER_REJECT", req.tx_id,
+                        None)
         elif verdict != ADMIT:  # a repeated request: its cached response
-            self._respond(origin, verdict)
+            self._respond(req.tx_host, verdict)
         elif self.service_time_us <= 0:
-            self._assign(req, origin)
+            self._assign(req)
         else:
-            self.queue.append((req, origin))
+            self.queue.append(req)
             self.max_queue = max(self.max_queue, len(self.queue))
             if len(self.queue) == 1:
                 engine.set_timer(self.node_id, self.service_time_us,
                                  ("serve",))
 
-    def _assign(self, req: OrderRequest, origin: int):
+    def _assign(self, req: OrderRequest):
         resp = self.state.assign(req)
         for peer in self.servers:
             if peer != self.node_id and not self.engine.is_crashed(peer):
                 self.engine.send(self.node_id, peer, "SEQ_NOTE", req.tx_id,
                                  resp)
-        self._respond(origin, resp)
+        self._respond(req.tx_host, resp)
 
-    def _respond(self, origin: int, resp: OrderResponse):
+    def _respond(self, host: int, resp: OrderResponse):
         fields = {"order": resp.order_no}
         self.engine.trace.add(self.engine.now, self.node_id, "ORDER_ASSIGN",
                               resp.tx_id, fields)
-        self.engine.send(self.node_id, origin, "ORDER_RESP", resp.tx_id,
+        self.engine.send(self.node_id, host, "ORDER_RESP", resp.tx_id,
                          resp, fields)
 
     def _promote(self):
@@ -283,11 +283,12 @@ class ParticipantState:
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        # tx_id -> (order_no, history), from its order until it executes
-        self.known_orders: dict[str, tuple] = {}
+        # tx_id -> history, from its order until it executes
+        self.known_orders: dict[str, list] = {}
         self.executed_set: set[str] = set()
         self.pending_participations: set[str] = set()
-        self._waiting: list = []  # (order_no, tx_id), kept sorted
+        # (order_no, tx_id) of each transaction in known_orders, kept sorted
+        self._waiting: list = []
 
     def note_participation(self, tx_id: str):
         if tx_id not in self.executed_set:
@@ -303,16 +304,15 @@ class ParticipantState:
                 f"node {self.node_id} is not a participant of {tx_id}")
         if tx_id in self.executed_set or tx_id in self.known_orders:
             return []  # replayed forward
-        self.known_orders[tx_id] = (order_no, history)
+        self.known_orders[tx_id] = history
         bisect.insort(self._waiting, (order_no, tx_id))
         return self._drain()
 
     def _executable(self, tx_id: str) -> bool:
         """No preceding transaction of ours is unordered or unexecuted.
         An executed one has left ``pending_participations`` for good."""
-        _, history = self.known_orders[tx_id]
         pending = self.pending_participations
-        for dep in history:
+        for dep in self.known_orders[tx_id]:
             if dep in pending:
                 return False
         return True

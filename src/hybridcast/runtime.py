@@ -15,22 +15,10 @@ from dataclasses import dataclass
 
 from .config import ScenarioConfig
 from .errors import SyncFailedError
-from .insurance import InsuranceNode, MODE_ON_SUSPICION, ProtocolParams
+from .insurance import InsuranceNode, MODE_ON_SUSPICION
 from .kernel import Engine, NodeClock, _mix
-from .ordering import (MODE_SERVICE, OrderRequest, OrderServer,
+from .ordering import (MODE_SERVICE, SERVER_BASE, OrderRequest, OrderServer,
                        OrderServerState, ParticipantState)
-
-SERVER_BASE = 1000  # order server node ids start here
-
-
-def _protocol_params(cfg: ScenarioConfig) -> ProtocolParams:
-    return ProtocolParams(
-        mode=cfg.mode, eta_us=cfg.eta_us,
-        theta_us=cfg.theta_us, epsilon_us=cfg.epsilon_us,
-        percentile=cfg.percentile, safety_margin_us=cfg.safety_margin_us,
-        window_size=cfg.window_size, default_d_us=cfg.default_d_us,
-        heartbeat_interval_us=cfg.heartbeat_interval_us,
-        suspicion_timeout_us=cfg.suspicion_timeout_us)
 
 
 def _make_clock(cfg: ScenarioConfig, node_id: int, rng: random.Random,
@@ -67,12 +55,10 @@ class AbcastRuntime:
         self.membership = list(range(cfg.num_client_nodes))
         self.nodes: dict[int, InsuranceNode] = {}
         self.messages_total = 0
-        params = _protocol_params(cfg)
         clock_rng = random.Random(_mix(cfg.seed, 7))
         for node_id in self.membership:
             clock = _make_clock(cfg, node_id, clock_rng, node_id == 0)
-            node = InsuranceNode(self.engine, node_id, self.membership,
-                                 params)
+            node = InsuranceNode(self.engine, node_id, self.membership, cfg)
             self.nodes[node_id] = node
             self.engine.add_node(
                 node_id,
@@ -231,14 +217,12 @@ class OrderingRuntime:
 
     def _submit_request(self, tx_id: str):
         tx = self.txs[tx_id]
-        if self.engine.is_crashed(tx.host):
-            return
         operative = [s for s in self.servers if not self.engine.is_crashed(s)]
         if not operative:
             self.engine.trace.add(self.engine.now, tx.host, "NO_SERVERS",
                                   tx_id)
             return
-        if tx.attempts == 0 and tx.server_cursor == 0:
+        if tx.attempts == 0:
             tx.server_cursor = self._rr_counter
             self._rr_counter += 1
         server = operative[tx.server_cursor % len(operative)]

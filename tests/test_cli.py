@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hybridcast.cli import main
 from hybridcast.trace import Trace
 
@@ -35,6 +37,21 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     path.write_text('{"seed": 1}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"network": {"shifts": [{"at_us": 1000}]}},
+    {"crash_schedule": [{"node": 2, "at_us": -500}]},
+    {"crash_schedule": [{"node": 17, "at_us": 500}]},
+    {"crash_schedule": [{"node": "two", "at_us": 500}]},
+])
+def test_simulate_meaningless_schedule_entry_exits_2(tmp_path, capsys,
+                                                     change):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, dict(GOOD_CONFIG, **change))
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_malformed_json_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hybridcast.config import config_from_dict, load_config
 from hybridcast.errors import ConfigInvalidError, ConfigParseError
 
 MINIMAL = {"seed": 1, "duration_us": 1_000_000}
+FIXED = {"family": "fixed", "value_us": 10}
 
 
 def test_minimal_config_gets_defaults():
@@ -45,6 +46,18 @@ def test_range_violations_are_invalid_not_parse_errors():
         dict(MINIMAL, network={"drop_prob": 1.2}),
         dict(MINIMAL, workload={"kind": "lottery"}),
         dict(MINIMAL, workload={"ordering": "PIGEON"}),
+        # a crash at a negative time, of a node not in the run, or of a
+        # node that is not a node id
+        dict(MINIMAL, crash_schedule=[{"node": 2, "at_us": -500}]),
+        dict(MINIMAL, crash_schedule=[{"node": 17, "at_us": 50}]),
+        dict(MINIMAL, crash_schedule=[{"node": "two", "at_us": 50}]),
+        dict(MINIMAL, crash_schedule=[{"node": True, "at_us": 50}]),
+        dict(MINIMAL, crash_schedule=[{"node": 2, "at_us": 5.5}]),
+        # order servers run only in a transaction run
+        dict(MINIMAL, crash_schedule=[{"node": 1000, "at_us": 50}]),
+        dict(MINIMAL, workload={"kind": "transactions"},
+             crash_schedule=[{"node": 1003, "at_us": 50}]),
+        dict(MINIMAL, network={"shifts": [{"at_us": -1, "delay": FIXED}]}),
     ):
         with pytest.raises(ConfigInvalidError):
             config_from_dict(bad)
@@ -76,11 +89,17 @@ def test_delay_spec_field_checking():
     with pytest.raises(ConfigParseError):
         config_from_dict(dict(MINIMAL, network={
             "delay": {"family": "fixed", "value_us": 3, "sigma": 0.5}}))
+    for shift in ({"at_us": 5}, {"at_us": 5, "delay": FIXED, "x": 1}, 5):
+        with pytest.raises(ConfigParseError):
+            config_from_dict(dict(MINIMAL, network={"shifts": [shift]}))
 
 
 def test_crash_schedule_shape_enforced():
     ok = dict(MINIMAL, crash_schedule=[{"node": 1, "at_us": 50}])
     assert config_from_dict(ok).crash_schedule[0]["node"] == 1
+    ok = dict(MINIMAL, workload={"kind": "transactions"},
+              crash_schedule=[{"node": 1002, "at_us": 0}])
+    assert config_from_dict(ok).crash_schedule[0]["node"] == 1002
     with pytest.raises(ConfigParseError):
         config_from_dict(dict(MINIMAL, crash_schedule=[{"node": 1}]))
     with pytest.raises(ConfigParseError):

@@ -94,6 +94,27 @@ def test_metrics_count_sends_and_undelivered():
     assert tx.sends_by_kind["ORDER_REQ"] == tx.messages_total
 
 
+def test_undelivered_counts_only_the_survivors():
+    result = run_scenario(broadcast_cfg(
+        crash_schedule=[{"node": 3, "at_us": 800_000}],
+        view_install_delay_us=300_000))
+    m = result.metrics
+    missed = m.messages_total - len(result.delivered[3])
+    assert missed > 0  # what the crashed member never delivered
+    assert m.delivered_total == 4 * m.messages_total - missed
+    assert m.undelivered_at_end == 0
+    # a survivor that nothing reached, and that sent nothing, counts too
+    cut_off = run_scenario(broadcast_cfg(
+        network={"delay": {"family": "fixed", "value_us": 2000},
+                 "drop_prob": 1.0},
+        workload={"kind": "broadcast", "arrival_rate_per_s": 5.0,
+                  "stop_margin_us": 500_000}))
+    assert cut_off.delivered[2] == []
+    m = cut_off.metrics
+    assert m.messages_total == m.delivered_total == 3
+    assert m.undelivered_at_end == 9
+
+
 def test_write_outputs(tmp_path):
     result = run_scenario(broadcast_cfg())
     result.write(tmp_path / "out")

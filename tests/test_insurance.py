@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from hybridcast import gmd, insurance
-from hybridcast.config import config_from_dict
+from hybridcast.config import ScenarioConfig, config_from_dict
 from hybridcast.delays import compute_D
 from hybridcast.gmd import msg_id_str
 from hybridcast.insurance import (
@@ -15,7 +15,6 @@ from hybridcast.insurance import (
     MODE_HYBRID,
     MODE_ON_SUSPICION,
     InsuranceNode,
-    ProtocolParams,
 )
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
 from hybridcast.runtime import AbcastRuntime
@@ -24,10 +23,10 @@ from hybridcast.runtime import AbcastRuntime
 def build_cluster(n=4, mode=MODE_HYBRID, delay_us=1000, seed=1, **params):
     eng = Engine(seed, NetworkModel(DelaySpec("fixed", value_us=delay_us)))
     members = list(range(n))
-    p = ProtocolParams(mode=mode, **params)
+    cfg = ScenarioConfig(seed, 1, mode=mode, **params)
     nodes = {}
     for i in members:
-        node = InsuranceNode(eng, i, members, p)
+        node = InsuranceNode(eng, i, members, cfg)
         nodes[i] = node
         eng.add_node(i, on_message=node.on_message, on_timer=node.on_timer)
     return eng, nodes
@@ -137,7 +136,7 @@ ANCHOR = dict(n=4, delay_us=1000, eta_us=2000, theta_us=1000, epsilon_us=100,
 
 def relay_window_end(nodes, mid):
     """ts + d_i + eta + theta: when the rank-0 relayer may give up on copy 2."""
-    held, p = nodes[0].store[mid], nodes[0].params
+    held, p = nodes[0].store[mid], nodes[0].cfg
     return held.ts + held.d_i + p.eta_us + p.theta_us
 
 
@@ -160,7 +159,7 @@ def test_early_copy1_relays_no_sooner_than_window_from_broadcast():
 def test_rank0_relays_by_window_end_and_survivors_meet_deadline():
     eng, nodes, mid, relays = crash_after_copy1()
     assert min(t for t, frm in relays if frm == 1) <= relay_window_end(nodes, mid)
-    held, p = nodes[0].store[mid], nodes[1].params
+    held, p = nodes[0].store[mid], nodes[1].cfg
     limit = (held.ts + compute_D(held.d_i, p.eta_us, p.theta_us,
                                  p.safety_margin_us) + p.epsilon_us)
     for i in (1, 2, 3):
@@ -176,7 +175,7 @@ def test_lagging_clock_delays_relay_by_at_most_d_i():
     mid = nodes[0].broadcast("half sent")
     eng.schedule_crash(0, 1)
     eng.run_until(2_000_000)
-    held, p = nodes[0].store[mid], nodes[0].params
+    held, p = nodes[0].store[mid], nodes[0].cfg
     arrival_timeout = 1000 + p.eta_us + p.theta_us
     first = min(t for t, frm, kind in sent if kind == "INS_RELAY" and frm == 1)
     assert first == arrival_timeout + held.d_i

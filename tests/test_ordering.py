@@ -219,6 +219,18 @@ class TestOrderServerNode:
         assert [(r.node, r.fields["via"]) for r in forwards] == [(1002, 1000)]
         assert group[1000].state.responses == {}
 
+    @pytest.mark.parametrize("service, answer", [
+        (dict(burst=0), (3000, "ORDER_REJECT")),
+        (dict(service_time_us=300), (3300, "ORDER_RESP")),
+    ])
+    def test_a_forwarded_request_is_answered_to_its_host(self, service,
+                                                         answer):
+        engine, group, got = order_service(**service)
+        request(engine, 1000, "a")  # forwarded on at 1000 us
+        engine.run_until(10_000)
+        # the active server answers the host, not the spare
+        assert [(t, kind) for t, kind, *_ in got] == [answer]
+
     def test_queue_serves_in_fifo_order(self):
         engine, group, got = order_service(service_time_us=300)
         for tx_id in ("a", "b", "c"):
@@ -354,8 +366,8 @@ class TestParticipant:
         history = ["a"]
         part.on_order("b", 2, history)
         part.on_order("c", 3, ["a", "b"])
-        assert part.known_orders == {"b": (2, history), "c": (3, ["a", "b"])}
-        assert part.known_orders["b"][1] is history  # kept, not copied
+        assert part.known_orders == {"b": history, "c": ["a", "b"]}
+        assert part.known_orders["b"] is history  # kept, not copied
         assert part.on_order("a", 1, []) == [("a", 1), ("b", 2), ("c", 3)]
         assert part.known_orders == {}
         assert part.executed_set == {"a", "b", "c"}

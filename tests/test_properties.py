@@ -5,12 +5,11 @@ from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from hybridcast.config import config_from_dict
+from hybridcast.config import ScenarioConfig, config_from_dict
 from hybridcast.delays import DelayDistribution, compute_D
 from hybridcast.gmd import GmdNodeState
 from hybridcast.harness import run_scenario
-from hybridcast.insurance import (InsuranceAck, InsuranceMessage,
-                                  InsuranceNode, ProtocolParams)
+from hybridcast.insurance import InsuranceAck, InsuranceMessage, InsuranceNode
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
 from hybridcast.ordering import ADMIT, REJECT, OrderRequest, OrderServerState
 
@@ -206,10 +205,10 @@ def _run_cluster(seed, senders, duplicate):
     eng = Engine(seed, NetworkModel(DelaySpec("uniform", low_us=100,
                                               high_us=3000)))
     members = [0, 1, 2]
-    params = ProtocolParams(eta_us=500, theta_us=300, default_d_us=4000)
+    cfg = ScenarioConfig(seed, 1, eta_us=500, theta_us=300, default_d_us=4000)
     nodes = {}
     for i in members:
-        node = InsuranceNode(eng, i, members, params)
+        node = InsuranceNode(eng, i, members, cfg)
         nodes[i] = node
         eng.add_node(i, on_message=node.on_message, on_timer=node.on_timer)
     if duplicate:
@@ -266,7 +265,7 @@ def test_a_sender_with_a_hole_has_one_just_above_its_watermark(steps):
     a held message: the premise of ``_gap_blocks``."""
     eng = Engine(1, NetworkModel(DelaySpec("fixed", value_us=1000)))
     members = [0, 1, 2, 3]
-    node = InsuranceNode(eng, 0, members, ProtocolParams())
+    node = InsuranceNode(eng, 0, members, ScenarioConfig(1, 1))
     eng.add_node(0, on_message=node.on_message, on_timer=node.on_timer)
     stamp = itertools.count(1)  # timestamps and promises, rising
     ts = {}  # msg id -> its timestamp
@@ -284,7 +283,7 @@ def test_a_sender_with_a_hole_has_one_just_above_its_watermark(steps):
                 for q in sorted(held[s][s] - held[m][s])[:arg]:
                     held[m][s].add(q)
             seen = {s: _contig(held[m][s]) for s in members if held[m][s]}
-            link.append(("INS_ACK", InsuranceAck(m, next(stamp), seen)))
+            link.append(("INS_ACK", InsuranceAck(next(stamp), seen)))
         elif action == "relay":
             mids = [(s, q) for s in members if s != m
                     for q in sorted(held[m][s])]
