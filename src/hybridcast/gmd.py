@@ -1,20 +1,33 @@
 """Group-membership-dependent abcast core.
 
 A broadcast carries a hybrid timestamp; every recipient answers with an
-ack (acker, promise, seen).  The promise is a timestamp that all of the
-acker's future broadcasts will exceed; ``seen`` maps each sender to the
-highest sequence number up to which the acker holds that sender's
-messages without a hole.  An acker's vector only grows with its promise,
-so each member's newest ack replaces its older ones, and a late ack that
-covers an earlier message stands in for an ack of it that was lost.  A
-message is deliverable once every member's newest ack covers it and
-every member's promise watermark exceeds its timestamp, so no
-earlier-timestamped message can still appear.  When a member crashes and
-stays silent, delivery stalls: that blocking is the phenomenon this
-module deliberately models.
+ack, a seen-vector that maps each sender to the highest sequence number
+up to which the acker holds that sender's messages without a hole.  A
+message is deliverable once every member's newest vector covers it; a
+late vector that covers an earlier message stands in for a lost ack of
+it.  When a member crashes and stays silent, delivery stalls: that
+blocking is the phenomenon this module deliberately models.
 
-The core keeps a message's id and timestamp only while it is pending.
-It does not screen duplicates: the caller admits each message once.
+Coverage alone suffices, because no earlier-timestamped message can
+still appear from a member whose vector covers the head:
+
+- a vector covers ``(s, q)`` only if its acker admitted ``(s, q)``
+  before stamping the ack (the caller admits a copy and stamps its ack
+  in one handler, and the vector is the acker's hole-free watermarks);
+- admitting a message raises the acker's hybrid clock to at least its
+  ts, so the ack and every later broadcast of the acker are stamped
+  higher;
+- links are FIFO, so the acker's earlier, lower-stamped broadcasts
+  either arrive before its ack or show up as a hole in its own seq
+  stream, which the caller holds delivery for.  For the same reason the
+  last ack to arrive from a member is its newest, so it replaces the
+  older ones.
+
+The sender's own messages need no vector from it: its seq stream shows
+them.  The core keeps a hybrid clock, the pending messages and each
+member's newest vector; a message's id and timestamp only while it is
+pending.  It does not screen duplicates: the caller admits each message
+once.
 """
 
 from __future__ import annotations
@@ -38,58 +51,30 @@ class GmdNodeState:
         self.hybrid_clock = 0
         self.pending: dict[MsgId, int] = {}  # msg_id -> ts
         self.delivered: list[MsgId] = []  # every delivery, in order
-        # largest timestamp seen from each member: the promise watermark
-        self.promise: dict[int, int] = {m: 0 for m in self.membership}
-        # each member's newest ack: (promise, seen)
-        self.acks: dict[int, tuple] = {}
+        self.acks: dict[int, dict] = {}  # member -> its newest seen-vector
         self._order: list = []  # heap of (ts, sender, seq, msg_id)
 
-    # -- timestamps --------------------------------------------------------
-
     def assign_timestamp(self, clock_reading: int) -> int:
+        """Stamp a broadcast or an ack above everything admitted so far."""
         ts = max(clock_reading, self.hybrid_clock + 1)
         self.hybrid_clock = ts
         return ts
 
-    def note_timestamp(self, member: int, ts: int):
-        if ts > self.promise.get(member, -1):
-            self.promise[member] = ts
-
-    # -- receive path ------------------------------------------------------
-
-    def add_own(self, msg_id: MsgId, ts: int):
-        """Register the sender's own broadcast (its ts is its own promise)."""
-        self._admit(msg_id, ts)
-
-    def _admit(self, msg_id: MsgId, ts: int):
+    def admit(self, msg_id: MsgId, ts: int):
+        """Queue a message not admitted before, this node's own or a
+        member's, and keep the hybrid clock at or above its ts."""
         self.pending[msg_id] = ts
         heapq.heappush(self._order, (ts, msg_id[0], msg_id[1], msg_id))
-        self.note_timestamp(msg_id[0], ts)
-
-    def on_receive(self, msg_id: MsgId, ts: int, clock_reading: int) -> int:
-        """Admit a foreign broadcast the caller has not admitted before;
-        returns the promise for its ack."""
-        self._admit(msg_id, ts)
         if ts > self.hybrid_clock:
             self.hybrid_clock = ts
-        return self.new_promise(clock_reading)
 
-    def new_promise(self, clock_reading: int) -> int:
-        """A timestamp that every later broadcast of this node exceeds."""
-        promise = self.assign_timestamp(clock_reading)
-        self.note_timestamp(self.node_id, promise)
-        return promise
-
-    def on_ack(self, acker: int, promise: int, seen: dict):
-        self.note_timestamp(acker, promise)
-        newest = self.acks.get(acker)
-        if newest is None or promise > newest[0]:
-            self.acks[acker] = (promise, seen)
+    def on_ack(self, acker: int, seen: dict):
+        self.acks[acker] = seen
 
     # -- delivery ----------------------------------------------------------
 
     def head(self) -> Optional[MsgId]:
-        # _admit and deliver_head change pending and _order together; the
+        # admit and deliver_head change pending and _order together; the
         # heap entry holds the caller's id, so delivery shares it
         if not self._order:
             return None
@@ -100,16 +85,11 @@ class GmdNodeState:
         if mid is None:
             return False
         sender, seq = mid
-        ts = self.pending[mid]
         for member in self.membership:
             if member == sender or member == self.node_id:
-                # the sender's promise is implicit in its seq stream, and
-                # this node holds the message and stamps later ones higher
                 continue
-            ack = self.acks.get(member)
-            if ack is None or ack[1].get(sender, -1) < seq:
-                return False
-            if self.promise.get(member, 0) <= ts:
+            seen = self.acks.get(member)
+            if seen is None or seen.get(sender, -1) < seq:
                 return False
         return True
 

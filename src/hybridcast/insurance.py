@@ -1,37 +1,39 @@
 """Proactive synchronous insurance overlay on the GMD abcast.
 
 Every broadcast carries a per-sender sequence number, and every ack is
-one record: a promise timestamp and a seen-vector, the per-sender
-contiguous sequence watermarks of what the acker holds.  Acks are never
-forwarded, so the acker is the sender of the link it came over.  The
-GMD core delivers from each member's newest vector, and receivers use
-the same vectors, and the seqs of arriving copies, to detect gaps, which
-block both delivery paths until filled.  Links are FIFO, so a gap that
-the sender's own link shows (a copy straight from the sender with a
-higher seq, or the sender's own vector) is lost, and its retransmission
-is requested at once.  A gap known only from a third party's vector or
-from a relayed copy may be a copy still in flight: its request waits one
-arrival window, the node's one-way delay estimate, goes out at once if
-proof comes first, and is dropped if the copy lands.  Each hole is one
-entry in ``holes``, its request count.  In GMD_ONLY mode that is all: one
-copy, no relay, no deadline.
+a seen-vector, the per-sender contiguous sequence watermarks of what the
+acker holds, stamped from the acker's hybrid clock after it admitted
+everything the vector covers.  Acks are never forwarded, so the acker is
+the sender of the link it came over.  The GMD core delivers on each
+member's newest vector alone (see ``gmd`` for why that suffices), and
+receivers use the same vectors, and the seqs of arriving copies, to
+detect gaps, which block both delivery paths until filled.  Links are
+FIFO, so a gap that the sender's own link shows (a copy straight from
+the sender with a higher seq, or the sender's own vector) is lost, and
+its retransmission is requested at once.  A gap known only from a third
+party's vector or from a relayed copy may be a copy still in flight: its
+request waits one arrival window, the node's one-way delay estimate,
+goes out at once if proof comes first, and is dropped if the copy lands.
+Each hole is one entry in ``holes``, its request count.  In GMD_ONLY
+mode that is all: one copy, no relay, no deadline.
 
 In the hybrid modes every broadcast goes out as two redundant copies
 separated by eta, and a receiver that saw only one copy re-broadcasts
 both copies on behalf of the (presumably crashed) sender after a
-staggered timeout.  The timeout is measured from the broadcast: copy 2
-leaves at ts + eta and may take the sender's d_i, so a receiver of copy
-1 relays at ts + d_i + eta + (rank+1)*theta on its own clock (at most
-d_i later than eta + (rank+1)*theta after the arrival, whatever the
-clock skew); a copy 2 that arrives first, because copy 1 was lost,
+timeout staggered by rank, the number of members below the receiver
+other than the sender.  The timeout is measured from the broadcast:
+copy 2 leaves at ts + eta and may take the sender's d_i, so a receiver
+of copy 1 relays at ts + d_i + eta + (rank+1)*theta on its own clock
+(at most d_i later than eta + (rank+1)*theta after the arrival, whatever
+the clock skew); a copy 2 that arrives first, because copy 1 was lost,
 starts the timeout at its arrival.  A pending message is delivered
-either by the GMD all-ack rules or once the local clock passes its
+either by the GMD all-ack rule or once the local clock passes its
 timestamp plus the pessimistic bound, whichever happens first; the
 deadline path is postponed while a known gap could still hide an
 earlier-timestamped message.  Only the head of the delivery order can
 be delivered, so a node arms one deadline timer, for the head's
-deadline.  In HYBRID_ON_SUSPICION the heartbeat is the node's ack
-record with a fresh promise, so a lost ack is replaced within one
+deadline.  In HYBRID_ON_SUSPICION the heartbeat is the node's
+seen-vector, freshly stamped, so a lost ack is replaced within one
 heartbeat interval, and the same tick checks every peer for silence.
 
 A node's timers, by key:
@@ -89,7 +91,7 @@ class InsuranceMessage:
 
 @dataclass(frozen=True)
 class InsuranceAck:
-    promise: int
+    ts: int  # stamped above every message ``seen`` covers
     seen: dict  # sender -> contiguous watermark
 
 
@@ -125,7 +127,6 @@ class InsuranceNode:
         self.suspected: set[int] = set()
         self.last_heard: dict[int, int] = {}
         self._timers: dict = {}
-        self._relay_ranks: dict[int, int] = {}  # sender -> rank; per view
 
     # -- small helpers -----------------------------------------------------
 
@@ -153,14 +154,6 @@ class InsuranceNode:
         if token is not None:
             self.engine.cancel_timer(token)
 
-    def _relay_rank(self, sender: int) -> int:
-        rank = self._relay_ranks.get(sender)
-        if rank is None:
-            others = sorted(m for m in self.membership if m != sender)
-            rank = others.index(self.node_id) if self.node_id in others else 0
-            self._relay_ranks[sender] = rank
-        return rank
-
     # -- broadcast paths ---------------------------------------------------
 
     def broadcast(self, payload=None) -> tuple:
@@ -171,7 +164,7 @@ class InsuranceNode:
         msg = InsuranceMessage(mid, ts, d_i, 1, payload=payload, sent_ts=ts)
         self.store[mid] = msg
         self._note_seq(self.node_id, mid[1], self.node_id)
-        self.gmd.add_own(mid, ts)
+        self.gmd.admit(mid, ts)
         if self.insured_active():
             self._arm_deadline(mid, ts, d_i)
         self.engine.trace.add(self.engine.now, self.node_id, "BCAST",
@@ -195,15 +188,18 @@ class InsuranceNode:
             self.engine.send(self.node_id, to, kind, msg_id_str(msg.msg_id),
                              msg, fields)
 
-    def _send_ack(self, label: str, promise: int):
-        """Send this node's ack record to every member: after an arrival,
-        labelled with its id, and in HYBRID_ON_SUSPICION, unlabelled, as
-        its heartbeat, which replaces a lost ack."""
+    def _send_ack(self, label: str):
+        """Stamp this node's seen-vector and send it to every member: after
+        an arrival, labelled with its id, and in HYBRID_ON_SUSPICION,
+        unlabelled, as its heartbeat, which replaces a lost ack.  The stamp
+        exceeds the ts of every message the vector covers, since each was
+        admitted before."""
+        ts = self.gmd.assign_timestamp(self.clock())
         seen = dict(self.contig)
         self.engine.broadcast(
             self.node_id, self.membership, "INS_ACK", label,
-            InsuranceAck(promise, seen),
-            {"frm": self.node_id, "ats": promise, "seen": seen})
+            InsuranceAck(ts, seen),
+            {"frm": self.node_id, "ats": ts, "seen": seen})
 
     # -- kernel entry points -----------------------------------------------
 
@@ -230,7 +226,7 @@ class InsuranceNode:
             if (key[1], key[2]) in self.holes:
                 self._send_retx(key[1], key[2], data)
         elif tag == "hb":
-            self._send_ack("", self.gmd.new_promise(self.clock()))
+            self._send_ack("")
             self._set_timer(("hb",), self.cfg.heartbeat_interval_us)
             self._check_heartbeats()
 
@@ -253,10 +249,13 @@ class InsuranceNode:
         elif mid not in self.store:
             self.store[mid] = msg  # shared by every receiver
             self._note_seq(mid[0], mid[1], frm)
-            promise = self.gmd.on_receive(mid, msg.ts, self.clock())
+            self.gmd.admit(mid, msg.ts)
             if msg.relayed_by is None and self.mode != MODE_GMD_ONLY:
+                # relayers take turns in id order, the sender left out
+                rank = sum(1 for m in self.membership
+                           if m < self.node_id and m != mid[0])
                 p = self.cfg
-                wait = p.eta_us + (self._relay_rank(mid[0]) + 1) * p.theta_us
+                wait = p.eta_us + (rank + 1) * p.theta_us
                 if msg.copy_index == 1:
                     # copy 2 is only overdue d_i after ts + eta, so wait from
                     # the broadcast, not from this arrival; the cap bounds
@@ -265,64 +264,60 @@ class InsuranceNode:
                 self._set_timer(("second", mid), wait)
             if self.insured_active():
                 self._arm_deadline(mid, msg.ts, msg.d_i)
-            self._send_ack(msg_id_str(mid), promise)
+            self._send_ack(msg_id_str(mid))
         elif msg.copy_index != self.store[mid].copy_index:
             # the other copy arrived: the sender is not stuck
             self._cancel(("second", mid))
         self._try_deliver()
 
     def _apply_ack(self, frm: int, ack: InsuranceAck):
-        self.estimator.record(frm, self.clock() - ack.promise)
-        self.gmd.on_ack(frm, ack.promise, ack.seen)
+        self.estimator.record(frm, self.clock() - ack.ts)
+        self.gmd.on_ack(frm, ack.seen)
+        contig = self.contig
         for sender, watermark in ack.seen.items():
-            if sender == self.node_id:
-                continue
-            c = self.contig.get(sender, -1)
-            if watermark <= c:
-                continue
-            # the sender's own vector came over its FIFO link behind every
-            # copy it counts, so those copies are lost, not in flight
-            proven = frm == sender
-            for q in range(c + 1, watermark + 1):
-                if (sender, q) not in self.store:
-                    self._open_gap(sender, q, frm, proven)
+            if sender != self.node_id and watermark > contig.get(sender, -1):
+                self._open_gaps(sender, watermark, frm)
 
     # -- sequence bookkeeping ----------------------------------------------
 
     def _note_seq(self, sender: int, seq: int, via: int):
         """Account for (sender, seq), which has just entered ``store``."""
-        store = self.store
         if (sender, seq) in self.holes:
             del self.holes[(sender, seq)]
             self._cancel(("retx", sender, seq))
         c = self.contig.get(sender, -1)
         if seq == c + 1:
-            while (sender, c + 1) in store:
+            while (sender, c + 1) in self.store:
                 c += 1
             self.contig[sender] = c
-        elif seq > c + 1:
-            # FIFO links: a copy straight from the sender proves these lost
-            for q in range(c + 1, seq):
-                if (sender, q) not in store:
-                    self._open_gap(sender, q, via, via == sender)
+        else:
+            self._open_gaps(sender, seq - 1, via)
 
-    def _open_gap(self, sender: int, seq: int, target: int, proven: bool):
-        """Record a hole and ask ``target`` for it.
+    def _open_gaps(self, sender: int, top: int, via: int):
+        """Record a hole for each of ``sender``'s seqs up to ``top`` that
+        is not held, on evidence that came from ``via``, and ask ``via``
+        for it.
 
-        A hole ``proven`` lost by evidence from the sender's own link is
-        requested at once.  Any other evidence (a third party's vector, a
-        relayed copy) may have outrun the copy still in flight, so the
-        request waits one arrival window, ``current_d()``; a proof that
-        comes during the wait sends it at once, and the copy's arrival
-        cancels it.  The hole blocks delivery either way.
+        Links are FIFO, so evidence from the sender's own link (a copy
+        straight from it, or its vector) came behind every copy it counts:
+        such a hole is proven lost and requested at once.  Any other
+        evidence (a third party's vector, a relayed copy) may have outrun
+        the copy still in flight, so the request waits one arrival window,
+        ``current_d()``; a proof that comes during the wait sends it at
+        once, and the copy's arrival cancels it.  The hole blocks delivery
+        either way.
         """
-        sent = self.holes.get((sender, seq))
-        if sent is None and not proven:
-            self.holes[(sender, seq)] = -1
-            self._set_timer(("retx", sender, seq), self.current_d(), target)
-        elif sent is None or (proven and sent < 0):
-            self._send_retx(sender, seq, target)
-        # else still waiting without proof, or already requested
+        proven = via == sender
+        for seq in range(self.contig.get(sender, -1) + 1, top + 1):
+            if (sender, seq) in self.store:
+                continue
+            sent = self.holes.get((sender, seq))
+            if sent is None and not proven:
+                self.holes[(sender, seq)] = -1
+                self._set_timer(("retx", sender, seq), self.current_d(), via)
+            elif sent is None or (proven and sent < 0):
+                self._send_retx(sender, seq, via)
+            # else still waiting without proof, or already requested
 
     def _send_retx(self, sender: int, seq: int, target):
         """Ask ``target`` for the hole, or, on a retry after theta
@@ -333,17 +328,15 @@ class InsuranceNode:
             target = others[(sent - 1) % len(others)]
         self.holes[(sender, seq)] = sent + 1
         self.engine.send(self.node_id, target, "RETX_REQ",
-                         msg_id_str((sender, seq)), (sender, (seq,)),
+                         msg_id_str((sender, seq)), (sender, seq),
                          {"frm": self.node_id})
         self._set_timer(("retx", sender, seq), self.cfg.theta_us)
 
-    def _on_retx_req(self, frm: int, payload):
-        sender, seqs = payload
-        for seq in seqs:
-            held = self.store.get((sender, seq))
-            if held is not None:
-                self._send_copy(replace(held, relayed_by=self.node_id,
-                                        sent_ts=self.clock()), to=frm)
+    def _on_retx_req(self, frm: int, hole: tuple):
+        held = self.store.get(hole)
+        if held is not None:
+            self._send_copy(replace(held, relayed_by=self.node_id,
+                                    sent_ts=self.clock()), to=frm)
 
     # -- proactive relay ---------------------------------------------------
 
@@ -457,10 +450,10 @@ class InsuranceNode:
         acks = self.gmd.acks
         for member in self.membership:
             if member != self.node_id and member != sender:
-                ack = acks.get(member)
-                if ack is None:
+                seen = acks.get(member)
+                if seen is None:
                     return
-                mark = ack[1].get(sender, -1)
+                mark = seen.get(sender, -1)
                 if mark < limit:
                     limit = mark
         q = self._floor.get(sender, 0)
@@ -498,7 +491,6 @@ class InsuranceNode:
 
     def on_new_view(self, crashed: int):
         self.gmd.remove_member(crashed)
-        self._relay_ranks.clear()
         self.suspected.discard(crashed)
         self.engine.trace.add(self.engine.now, self.node_id, "NEW_VIEW",
                               "", {"removed": crashed})

@@ -18,8 +18,6 @@ from typing import Callable, Optional
 from .errors import CrashedNodeError, SyncFailedError
 from .trace import NO_FIELDS, Trace, detail_text
 
-BROADCAST = "broadcast"  # sentinel destination
-
 
 @dataclass(frozen=True)
 class DelaySpec:

@@ -125,7 +125,7 @@ steps = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3),  # the member that acts
         st.booleans(),                          # it broadcasts, or else acks
-        st.integers(min_value=0, max_value=3),  # how far its ts or promise moves
+        st.integers(min_value=0, max_value=3),  # how far its ts or stamp moves
         st.integers(min_value=0, max_value=3),  # its link delay, in steps
     ),
     min_size=10, max_size=40,
@@ -136,16 +136,17 @@ steps = st.lists(
 @given(steps)
 def test_delivered_prefix_respects_promises(steps):
     """Members 1-3 broadcast and ack over FIFO links to node 0, and stamp
-    each broadcast above every timestamp and promise they sent before.  An
-    ack covers everything sent so far, and its promise need not exceed
-    those timestamps: the core's only premise is that the member's later
-    broadcasts exceed it.  Whatever the interleaving, node 0 delivers a
-    message only once every member acked it and promised to stay above its
-    timestamp, the delivered sequence is sorted by timestamp, and no later
-    arrival undercuts it."""
+    each broadcast above every timestamp they sent before.  An ack covers
+    everything sent so far and, as the protocol stamps it after admitting
+    what it covers, exceeds those timestamps: the premise that lets the
+    core deliver on coverage alone.  Whatever the interleaving, node 0
+    delivers a message only once every member acked it with a stamp above
+    its timestamp, node 0's own clock is past it, the delivered sequence
+    is sorted by timestamp, and no later arrival undercuts it."""
     members = [0, 1, 2, 3]
     node = GmdNodeState(0, members)
-    promised = {m: 0 for m in members}  # each member's largest ts sent
+    stamped = {m: 0 for m in members}  # each member's largest ts sent
+    newest = {}  # member -> the stamp of its last ack to reach node 0
     sent = {m: [] for m in members}  # each sender's broadcast ts, by seq
     in_flight = []  # heap of (arrival step, send order, member, item)
     link_free = {m: 0 for m in members}  # arrival step of a link's last item
@@ -154,16 +155,19 @@ def test_delivered_prefix_respects_promises(steps):
         if item[0] == "msg":
             _, seq, ts = item
             assert all(ts > sent[d[0]][d[1]] for d in node.delivered)
-            node.on_receive((m, seq), ts, 0)
+            node.admit((m, seq), ts)
+            node.assign_timestamp(0)  # node 0 stamps its ack
         else:
-            node.on_ack(m, item[1], item[2])
+            node.on_ack(m, item[2])
+            newest[m] = item[1]
         node.try_deliver()
         delivered_ts = [sent[d[0]][d[1]] for d in node.delivered]
         assert delivered_ts == sorted(delivered_ts)
+        promised = {**newest, 0: node.hybrid_clock}
         for d in node.delivered:
-            assert all(node.promise[p] > sent[d[0]][d[1]]
+            assert all(promised[p] > sent[d[0]][d[1]]
                        for p in members if p != d[0])
-            assert all(node.acks[p][1].get(d[0], -1) >= d[1]
+            assert all(node.acks[p].get(d[0], -1) >= d[1]
                        for p in members if p not in (0, d[0]))
 
     for now, (m, bcast, k, delay) in enumerate(steps):
@@ -172,17 +176,17 @@ def test_delivered_prefix_respects_promises(steps):
         if m == 0:
             if bcast:
                 ts = node.assign_timestamp(k)
-                node.add_own((0, len(sent[0])), ts)
+                node.admit((0, len(sent[0])), ts)
                 sent[0].append(ts)
             continue
         if bcast:
-            promised[m] += 1 + k
-            item = ("msg", len(sent[m]), promised[m])
-            sent[m].append(promised[m])
+            stamped[m] += 1 + k
+            item = ("msg", len(sent[m]), stamped[m])
+            sent[m].append(stamped[m])
         else:
             top = max((ts for s in members for ts in sent[s]), default=0)
-            promised[m] = max(promised[m], top + k)
-            item = ("ack", promised[m],
+            stamped[m] = max(stamped[m], top + 1 + k)
+            item = ("ack", stamped[m],
                     {s: len(sent[s]) - 1 for s in members if sent[s]})
         link_free[m] = max(now + delay, link_free[m])  # FIFO per link
         heapq.heappush(in_flight, (link_free[m], now, m, item))
@@ -190,6 +194,65 @@ def test_delivered_prefix_respects_promises(steps):
         arrive(*heapq.heappop(in_flight)[2:])
     for mid in node.delivered:
         assert mid not in node.pending
+
+
+# -- ack stamps in real runs --------------------------------------------------
+
+# The premise that lets the GMD core deliver on coverage alone, read off the
+# trace of whole runs: every mode, with loss, a crash, and clocks that drift
+# and are resynchronised.
+stamp_knobs = st.fixed_dictionaries({
+    "seed": st.integers(min_value=0, max_value=2**31),
+    "mode": st.sampled_from(["GMD_ONLY", "HYBRID", "HYBRID_ON_SUSPICION"]),
+    "nodes": st.integers(min_value=3, max_value=5),
+    "drop": st.sampled_from([0.0, 0.01, 0.05]),
+    "drift_ppm": st.sampled_from([0, 50, 200]),
+    "victim": st.integers(min_value=0, max_value=4),
+    "crash_us": st.integers(min_value=100_000, max_value=600_000),
+})
+
+
+def _stamp_scenario(knobs):
+    return config_from_dict({
+        "seed": knobs["seed"], "duration_us": 1_000_000, "mode": knobs["mode"],
+        "num_client_nodes": knobs["nodes"],
+        "network": {
+            "delay": {"family": "lognormal", "median_us": 2000, "sigma": 0.5},
+            "drop_prob": knobs["drop"],
+        },
+        "crash_schedule": [{"node": knobs["victim"] % knobs["nodes"],
+                            "at_us": knobs["crash_us"]}],
+        "view_install_delay_us": 150_000,
+        "resync_interval_us": 100_000,
+        "heartbeat_interval_us": 50_000,
+        "suspicion_timeout_us": 120_000,
+        "clock": {"init_offset_max_us": 500,
+                  "drift_ppm_max": knobs["drift_ppm"],
+                  "sync_enabled": True, "sync_bound_us": 3000},
+        "workload": {"kind": "broadcast", "arrival_rate_per_s": 300.0,
+                     "stop_margin_us": 250_000},
+    })
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(stamp_knobs)
+def test_acks_are_stamped_above_what_they_cover(knobs):
+    """Each ``INS_ACK`` arrival's stamp ``ats`` exceeds the ``BCAST`` ts of
+    every message its vector covers, and rises strictly along each (acker,
+    receiver) link, so the last ack to arrive from a member is its
+    newest."""
+    bcast_ts, last = {}, {}
+    with run_scenario(_stamp_scenario(knobs)).trace as trace:
+        for rec in trace:
+            if rec.event_kind == "BCAST":
+                bcast_ts[rec.msg_id] = rec.fields["ts"]
+            elif rec.event_kind == "INS_ACK":
+                ats, link = rec.fields["ats"], (rec.fields["frm"], rec.node)
+                assert ats > last.get(link, -1)
+                last[link] = ats
+                for sender, seq in rec.fields.get("seen", {}).items():
+                    assert ats > bcast_ts[f"{sender}:{seq}"]
+    assert last
 
 
 # -- duplication idempotence ----------------------------------------------------
