@@ -28,6 +28,12 @@ them.  The core keeps a hybrid clock, the pending messages and each
 member's newest vector; a message's id and timestamp only while it is
 pending.  It does not screen duplicates: the caller admits each message
 once.
+
+Only the head of the order can be delivered, so the core counts the
+members whose newest vector covers the head.  An ack moves the count by
+the acker's old and new marks for the head's sender alone, and says
+whether the head is now deliverable; the count is taken afresh only when
+the head or the membership changes.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ class GmdNodeState:
         self.delivered: list[MsgId] = []  # every delivery, in order
         self.acks: dict[int, dict] = {}  # member -> its newest seen-vector
         self._order: list = []  # heap of (ts, sender, seq, msg_id)
+        # the head, the members whose vector it needs, and how many of
+        # their newest vectors cover it
+        self._head: Optional[MsgId] = None
+        self._needed = 0
+        self._covered = 0
 
     def assign_timestamp(self, clock_reading: int) -> int:
         """Stamp a broadcast or an ack above everything admitted so far."""
@@ -67,46 +78,64 @@ class GmdNodeState:
         heapq.heappush(self._order, (ts, msg_id[0], msg_id[1], msg_id))
         if ts > self.hybrid_clock:
             self.hybrid_clock = ts
+        if self._order[0][3] is msg_id:
+            self._count_head()
 
-    def on_ack(self, acker: int, seen: dict):
+    def on_ack(self, acker: int, seen: dict) -> bool:
+        """Store ``acker``'s newest vector; whether the head is now
+        deliverable.  Only the head's sender's mark, old and new, can
+        change the head's coverage count."""
+        old = self.acks.get(acker)
         self.acks[acker] = seen
+        head = self._head
+        if head is None:
+            return False
+        sender, seq = head
+        covers = seen.get(sender, -1) >= seq
+        if (covers != (old is not None and old.get(sender, -1) >= seq)
+                and acker != sender and acker in self.membership):
+            self._covered += 1 if covers else -1
+        return self._covered == self._needed
 
     # -- delivery ----------------------------------------------------------
 
     def head(self) -> Optional[MsgId]:
-        # admit and deliver_head change pending and _order together; the
-        # heap entry holds the caller's id, so delivery shares it
-        if not self._order:
-            return None
-        return self._order[0][3]
+        return self._head
 
-    def head_deliverable(self) -> bool:
-        mid = self.head()
-        if mid is None:
-            return False
-        sender, seq = mid
+    def _count_head(self):
+        """Recount the head's coverage; run when the head or the membership
+        changes.  The heap entry holds the caller's id, so delivery shares
+        it."""
+        if not self._order:
+            self._head = None
+            return
+        head = self._head = self._order[0][3]
+        sender, seq = head
+        needed = covered = 0
         for member in self.membership:
             if member == sender or member == self.node_id:
                 continue
+            needed += 1
             seen = self.acks.get(member)
-            if seen is None or seen.get(sender, -1) < seq:
-                return False
-        return True
+            if seen is not None and seen.get(sender, -1) >= seq:
+                covered += 1
+        self._needed = needed
+        self._covered = covered
+
+    def head_deliverable(self) -> bool:
+        """Whether every member's newest vector covers the head."""
+        return self._head is not None and self._covered == self._needed
 
     def deliver_head(self) -> MsgId:
-        mid = self.head()
+        mid = self._head
         del self.pending[mid]
         heapq.heappop(self._order)
         self.delivered.append(mid)
+        self._count_head()
         return mid
-
-    def try_deliver(self) -> list[MsgId]:
-        out = []
-        while self.head_deliverable():
-            out.append(self.deliver_head())
-        return out
 
     # -- membership --------------------------------------------------------
 
     def remove_member(self, node_id: int):
         self.membership.discard(node_id)
+        self._count_head()

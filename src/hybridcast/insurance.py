@@ -17,6 +17,16 @@ goes out at once if proof comes first, and is dropped if the copy lands.
 Each hole is one entry in ``holes``, its request count.  In GMD_ONLY
 mode that is all: one copy, no relay, no deadline.
 
+An ack also carries its version ``v``, the acker's ack count, and
+``changed``, the entries that moved since its previous ack (the
+differential vector clocks of Singhal and Kshemkalyani, IPL 1992).  A
+receiver that got version v - 1 scans only those for gaps; after a lost
+ack it scans the whole vector and traces it as ``ACK_FULL``.  An ack can
+make the head deliverable only through its coverage (a new hole only
+blocks), and a copy already held changes nothing that delivery reads, so
+either runs the delivery loop only when the GMD core reports the head
+covered or the head is past its deadline.
+
 In the hybrid modes every broadcast goes out as two redundant copies
 separated by eta, and a receiver that saw only one copy re-broadcasts
 both copies on behalf of the (presumably crashed) sender after a
@@ -93,6 +103,8 @@ class InsuranceMessage:
 class InsuranceAck:
     ts: int  # stamped above every message ``seen`` covers
     seen: dict  # sender -> contiguous watermark
+    v: int  # the acker's ack count, from 1
+    changed: dict  # the entries of ``seen`` that moved since ack v - 1
 
 
 class InsuranceNode:
@@ -115,6 +127,9 @@ class InsuranceNode:
         self.seqno = 0
         self.store: dict[tuple, InsuranceMessage] = {}
         self.contig: dict[int, int] = {}
+        self._moved: dict[int, int] = {}  # contig moves since the last ack sent
+        self._acks_sent = 0
+        self._versions: dict[int, int] = {}  # acker -> v of its last ack here
         # sender -> lowest seq not yet collected; every seq below it was
         # delivered here and is held by every member
         self._floor: dict[int, int] = {}
@@ -196,20 +211,27 @@ class InsuranceNode:
         admitted before."""
         ts = self.gmd.assign_timestamp(self.clock())
         seen = dict(self.contig)
+        changed = self._moved
+        if len(changed) > 1:  # in ``seen``'s order, which receivers scan in
+            changed = {s: c for s, c in seen.items() if s in changed}
+        self._moved = {}
+        self._acks_sent += 1
+        v = self._acks_sent
         self.engine.broadcast(
             self.node_id, self.membership, "INS_ACK", label,
-            InsuranceAck(ts, seen),
-            {"frm": self.node_id, "ats": ts, "seen": seen})
+            InsuranceAck(ts, seen, v, changed),
+            {"frm": self.node_id, "ats": ts, "v": v, "d": changed})
 
     # -- kernel entry points -----------------------------------------------
 
     def on_message(self, frm: int, kind: str, msg_id: str, payload):
-        self.last_heard[frm] = self.engine.now
-        if kind in ("INS_MSG", "INS_RELAY"):
+        if self.mode == MODE_ON_SUSPICION:
+            self.last_heard[frm] = self.engine.now
+        if kind == "INS_ACK":
+            if self._apply_ack(frm, payload):
+                self._try_deliver()
+        elif kind in ("INS_MSG", "INS_RELAY"):
             self._on_copy(frm, payload)
-        elif kind == "INS_ACK":
-            self._apply_ack(frm, payload)
-            self._try_deliver()
         elif kind == "RETX_REQ":
             self._on_retx_req(frm, payload)
 
@@ -239,7 +261,8 @@ class InsuranceNode:
     # -- receive path ------------------------------------------------------
 
     def _on_copy(self, frm: int, msg: InsuranceMessage):
-        self.estimator.record(frm, self.clock() - msg.sent_ts)
+        now = self.clock()
+        self.estimator.record(frm, now - msg.sent_ts)
         mid = msg.msg_id
         if msg.relayed_by is not None and msg.relayed_by != self.node_id:
             # someone else is already relaying: suppress our own relay
@@ -260,23 +283,47 @@ class InsuranceNode:
                     # copy 2 is only overdue d_i after ts + eta, so wait from
                     # the broadcast, not from this arrival; the cap bounds
                     # what a skewed clock can add
-                    wait += min(msg.d_i, max(0, msg.ts + msg.d_i - self.clock()))
+                    wait += min(msg.d_i, max(0, msg.ts + msg.d_i - now))
                 self._set_timer(("second", mid), wait)
             if self.insured_active():
                 self._arm_deadline(mid, msg.ts, msg.d_i)
             self._send_ack(msg_id_str(mid))
+            self._try_deliver()
+            return
         elif msg.copy_index != self.store[mid].copy_index:
             # the other copy arrived: the sender is not stuck
             self._cancel(("second", mid))
-        self._try_deliver()
+        # a copy already held or collected changes nothing delivery reads
+        if self._deadline_passed(now):
+            self._try_deliver()
 
-    def _apply_ack(self, frm: int, ack: InsuranceAck):
-        self.estimator.record(frm, self.clock() - ack.ts)
-        self.gmd.on_ack(frm, ack.seen)
-        contig = self.contig
-        for sender, watermark in ack.seen.items():
-            if sender != self.node_id and watermark > contig.get(sender, -1):
+    def _apply_ack(self, frm: int, ack: InsuranceAck) -> bool:
+        """Take in an ack; whether a delivery may now be due.
+
+        The gap scan reads only the entries that moved since the acker's
+        previous ack, when that ack arrived here: every other entry equals
+        its value there, that ack's scan already recorded every hole it
+        implies, and a hole leaves ``holes`` only when its copy enters
+        ``store``.  After a lost ack the scan reads the whole vector, and
+        the trace gets an ``ACK_FULL`` record of it, so that each
+        (receiver, acker)'s newest vector can be rebuilt from the trace.
+        """
+        now = self.clock()
+        self.estimator.record(frm, now - ack.ts)
+        deliverable = self.gmd.on_ack(frm, ack.seen)
+        versions = self._versions
+        if versions.get(frm, 0) + 1 == ack.v:
+            marks = ack.changed
+        else:
+            marks = ack.seen
+            self.engine.trace.add(self.engine.now, self.node_id, "ACK_FULL",
+                                  "", {"frm": frm, "seen": marks})
+        versions[frm] = ack.v
+        me, contig = self.node_id, self.contig
+        for sender, watermark in marks.items():
+            if sender != me and watermark > contig.get(sender, -1):
                 self._open_gaps(sender, watermark, frm)
+        return deliverable or self._deadline_passed(now)
 
     # -- sequence bookkeeping ----------------------------------------------
 
@@ -290,6 +337,7 @@ class InsuranceNode:
             while (sender, c + 1) in self.store:
                 c += 1
             self.contig[sender] = c
+            self._moved[sender] = c
         else:
             self._open_gaps(sender, seq - 1, via)
 
@@ -386,6 +434,13 @@ class InsuranceNode:
                 if below is None or below.ts < m_ts:
                     return True
         return False
+
+    def _deadline_passed(self, now: int) -> bool:
+        """Whether the local clock reading ``now`` is past the head's
+        deadline.  A drifting clock can pass it a few microseconds before
+        the deadline timer fires, and an arrival in between delivers."""
+        deadline = self.deadlines.get(self.gmd.head())
+        return deadline is not None and now >= deadline
 
     def _try_deliver(self):
         while True:

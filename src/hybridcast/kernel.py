@@ -19,6 +19,26 @@ from .errors import CrashedNodeError, SyncFailedError
 from .trace import NO_FIELDS, Trace, detail_text
 
 
+def _fixed(spec, rng):
+    return spec.value_us
+
+
+def _uniform(spec, rng):
+    return rng.randint(spec.low_us, spec.high_us)
+
+
+def _exponential(spec, rng):
+    return rng.expovariate(1.0 / spec.mean_us)
+
+
+def _lognormal(spec, rng):
+    return rng.lognormvariate(spec._log_median, spec.sigma)
+
+
+_DRAWS = {"fixed": _fixed, "uniform": _uniform, "exponential": _exponential,
+          "lognormal": _lognormal}
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """One-way delay distribution descriptor, all values in microseconds."""
@@ -31,18 +51,19 @@ class DelaySpec:
     median_us: float = 0.0
     sigma: float = 0.0
 
-    def sample(self, rng: random.Random) -> int:
-        if self.family == "fixed":
-            raw = self.value_us
-        elif self.family == "uniform":
-            raw = rng.randint(self.low_us, self.high_us)
-        elif self.family == "exponential":
-            raw = rng.expovariate(1.0 / self.mean_us)
-        elif self.family == "lognormal":
-            raw = rng.lognormvariate(math.log(self.median_us), self.sigma)
-        else:
+    def __post_init__(self):
+        if self.family not in _DRAWS:
             raise ValueError(f"unknown delay family {self.family!r}")
-        return max(1, int(round(raw)))
+        # the draw is chosen once; a module function, not a bound method,
+        # so the spec holds no reference to itself
+        object.__setattr__(self, "_draw", _DRAWS[self.family])
+        if self.family == "lognormal":
+            # a median of 0 or below fails at the first draw, with ValueError
+            mu = math.log(self.median_us) if self.median_us > 0 else math.nan
+            object.__setattr__(self, "_log_median", mu)
+
+    def sample(self, rng: random.Random) -> int:
+        return max(1, int(round(self._draw(self, rng))))
 
 
 @dataclass
@@ -63,7 +84,8 @@ class NetworkModel:
         return spec
 
     def sample_delay(self, rng: random.Random, now_us: int) -> int:
-        return self.spec_at(now_us).sample(rng)
+        spec = self.spec_at(now_us) if self.shifts else self.delay
+        return spec.sample(rng)
 
 
 @dataclass

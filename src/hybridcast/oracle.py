@@ -220,12 +220,15 @@ class CaseIndex:
         facts = self.nodes.get(node)
         if facts is None:
             facts = self.nodes[node] = _NodeFacts()
-        if kind == "INS_ACK":
-            seen = fields.get("seen")
-            if not seen:
+        if kind == "INS_ACK" or kind == "ACK_FULL":
+            # an arrival holds the entries that moved since the acker's
+            # previous ack, and a full record follows one that came after a
+            # lost ack: between them every rise of every vector is read
+            marks = fields.get("d" if kind == "INS_ACK" else "seen")
+            if not marks:
                 return
             lines = facts.seen
-            for sender, mark in seen.items():
+            for sender, mark in marks.items():
                 line = lines.get(sender)
                 if line is None:
                     lines[sender] = (array("q", (mark,)), array("q", (t,)))

@@ -9,12 +9,20 @@ typed fields as it is added.  ``write_csv`` copies the spool into
 back one at a time into ``TraceRecord``s.
 
 A record's detail is a dict of typed fields (ints, strings and, on acks,
-the seen-vector ``{sender: contiguous seq}``), shared by every arrival
-record of one send and never mutated.  Only this module knows its text
-form: ``key=value`` pairs joined with ``;`` so the line stays comma-free
-(``None`` fields and an empty seen-vector are left out), a seen-vector is
-``sender:seq`` pairs joined with ``|``, and integer text reads back as
-``int``.
+vectors ``{sender: contiguous seq}``), shared by every arrival record of
+one send and never mutated.  An ``INS_ACK`` arrival holds ``frm``, the
+stamp ``ats``, the acker's ack count ``v`` and, as ``d``, the entries of
+its seen-vector that moved since its previous ack.  A receiver that got
+some other version before this one adds an ``ACK_FULL`` record at the
+same instant with ``frm`` and the whole vector as ``seen``.  Applying
+each arrival's ``d`` and replacing the vector at each ``ACK_FULL``, in
+record order, rebuilds every (receiver, acker)'s newest vector.
+
+Only this module knows the text form: ``key=value`` pairs joined with
+``;`` so the line stays comma-free (``None`` fields and empty vectors are
+left out), a vector is ``sender:seq`` pairs joined with ``|``
+(``d=4:55|7:3``), integer text reads back as ``int`` and other text
+holding a ``:`` as a vector.
 """
 
 from __future__ import annotations
@@ -74,9 +82,9 @@ def detail_text(fields: Mapping) -> str:
     """The detail column of a record with these fields."""
     if not fields:
         return ""
-    seen = fields.get("seen")
-    if seen is not None:
-        fields = {**fields, "seen": format_seen(seen) if seen else None}
+    if any(type(v) is dict for v in fields.values()):
+        fields = {k: (format_seen(v) or None) if type(v) is dict else v
+                  for k, v in fields.items()}
     return format_detail(**fields)
 
 
@@ -85,13 +93,10 @@ def _parse_detail(text: str) -> dict:
     for part in text.split(";"):
         if "=" in part:
             k, v = part.split("=", 1)
-            if k == "seen":
-                fields[k] = parse_seen(v)
-            else:
-                try:
-                    fields[k] = int(v)
-                except ValueError:
-                    fields[k] = v
+            try:
+                fields[k] = int(v)
+            except ValueError:
+                fields[k] = parse_seen(v) if ":" in v else v
     return fields
 
 

@@ -92,16 +92,16 @@ SCENARIOS = {
 
 DIGESTS = {  # name -> (trace.csv, metrics.json)
     "hybrid": (
-        "c8e0dfecacfae3c534ab239a0509739294c15cc0a61af129d615b5c14e2107be",
+        "ca0835180e2ccb433778f789235260078f4839fed35edf77315527f147b81ca0",
         "f06267ea6a2a90a7714b160a9945717cc78c2933428bff9b7c5c0af74acaa804"),
     "hybrid-crash-lossy": (
-        "233c6e0b02ff21cf4b61f34de256497c0821465e3dace226f6dbfe44ce1e0101",
+        "91a94498daee0c2f0b2098531574e631e99d51ea6c2c4a59415ae166e8aa2e78",
         "aa09aeeb6fc5bb0a1831db5ae0f147eda1f5736f83533f4492d6f1f1af7545a7"),
     "gmd-only": (
-        "464804f6a0657fd80402f88676517d7b94d0ea34d8e1180b669f652db3b695ff",
+        "af83d5767734c77a37916ed0894b2232a916adb3e2b38b58616d11d7a4213b40",
         "b4041e5e1e4a81bc893739905bf8d8258d43e55eba78b77a82237e46db23de65"),
     "on-suspicion": (
-        "c2f46ec56ac8162156f8b6a0717abe5205095d143f343993252c286bb899fe5c",
+        "033264cc26794ecc6cb3186ed037e13c95a0c7dbbcc058d775bd2ed783b26957",
         "826670b100e04c7ee7f3e555ec9edf13ff78d731b4bcb60b162b008ec0fec79a"),
     "service-takeover": (
         "a1e0801a737d9ea23577cda9f39af7240090ed7533fb061ee1aeb65b2a323b32",

@@ -25,6 +25,15 @@ def bcast(nodes, sender, clock_reading, seq):
     return msg_id, ts
 
 
+def deliver_all(node):
+    """Deliver heads while they are deliverable, as the insurance node's
+    delivery loop does on the all-ack path; returns them in order."""
+    out = []
+    while node.head_deliverable():
+        out.append(node.deliver_head())
+    return out
+
+
 def make_group(k=3):
     members = list(range(k))
     return {i: GmdNodeState(i, members) for i in members}
@@ -47,7 +56,7 @@ def test_single_broadcast_delivers_everywhere():
     msg_id, ts = bcast(nodes, 0, 1000, 0)
     for n in nodes.values():
         assert n.pending == {msg_id: ts}
-        assert n.try_deliver() == [msg_id]
+        assert deliver_all(n) == [msg_id]
         assert n.pending == {}
 
 
@@ -69,7 +78,7 @@ def test_total_order_is_timestamp_then_sender():
     n.admit((1, 0), 1500)
     for acker in (0, 1):
         n.on_ack(acker, {0: 0, 1: 0})
-    assert n.try_deliver() == [(1, 0), (0, 0)]
+    assert deliver_all(n) == [(1, 0), (0, 0)]
 
 
 def test_sender_tie_breaks_equal_timestamps():
@@ -78,7 +87,7 @@ def test_sender_tie_breaks_equal_timestamps():
         n.admit((sender, 0), 1000)
     for acker in (0, 1):
         n.on_ack(acker, {0: 0, 1: 0})
-    assert n.try_deliver() == [(0, 0), (1, 0)]
+    assert deliver_all(n) == [(0, 0), (1, 0)]
 
 
 def test_early_ack_buffered_until_message_arrives():
@@ -87,7 +96,7 @@ def test_early_ack_buffered_until_message_arrives():
     assert not n.head_deliverable()
     n.admit((0, 0), 1000)
     # the ack already counts: no further ack is needed
-    assert n.try_deliver() == [(0, 0)]
+    assert deliver_all(n) == [(0, 0)]
 
 
 def test_later_ack_covering_an_earlier_message_delivers_it():
@@ -97,7 +106,7 @@ def test_later_ack_covering_an_earlier_message_delivers_it():
     # member 1's ack for (0, 0) was lost; its ack for (0, 1) shows that it
     # holds sender 0's messages up to seq 1
     n.on_ack(1, {0: 1})
-    assert n.try_deliver() == [(0, 0), (0, 1)]
+    assert deliver_all(n) == [(0, 0), (0, 1)]
 
 
 def test_vector_below_seq_does_not_deliver():
@@ -105,7 +114,7 @@ def test_vector_below_seq_does_not_deliver():
     n.admit((0, 0), 1000)
     n.admit((0, 1), 1100)
     n.on_ack(1, {0: 0})  # member 1 lacks (0, 1)
-    assert n.try_deliver() == [(0, 0)]
+    assert deliver_all(n) == [(0, 0)]
     assert not n.head_deliverable()
 
 
@@ -118,7 +127,7 @@ def test_remove_member_unblocks_pending():
     assert nodes[1].head_deliverable()  # sender ack is implicit
     # now block on a foreign message instead
     ts2 = nodes[2].assign_timestamp(2000)
-    nodes[1].try_deliver()
+    deliver_all(nodes[1])
     nodes[1].admit((2, 1), ts2)
     assert not nodes[1].head_deliverable()  # waiting on crashed node 0
     nodes[1].remove_member(0)
@@ -130,3 +139,28 @@ def test_receive_bumps_hybrid_clock():
     n.admit((0, 0), 5000)
     # next local timestamp must exceed what was seen
     assert n.assign_timestamp(20) > 5000
+
+
+def test_an_ack_reports_whether_the_head_became_deliverable():
+    n = GmdNodeState(3, [0, 1, 2, 3])
+    n.admit((0, 0), 1000)
+    assert not n.on_ack(1, {0: 0})  # member 2 has not acked
+    assert not n.on_ack(0, {1: 4})  # the sender's own vector is not needed
+    assert n.on_ack(2, {0: 0})
+    assert n.head_deliverable()
+
+
+def test_the_coverage_count_follows_the_head_and_the_view():
+    n = GmdNodeState(3, [0, 1, 2, 3])
+    n.on_ack(1, {0: 0, 2: 0})
+    n.on_ack(2, {0: 0})
+    n.admit((0, 0), 1000)  # a head that the stored vectors already cover
+    assert n.head_deliverable()
+    n.admit((2, 0), 900)  # a new head, covered by member 1 alone
+    assert n.head() == (2, 0) and not n.head_deliverable()
+    n.remove_member(0)  # member 0 was the one missing
+    assert deliver_all(n) == [(2, 0), (0, 0)]
+    n.admit((1, 0), 2000)
+    assert not n.head_deliverable()
+    n.on_ack(2, {0: 0, 1: 0})
+    assert deliver_all(n) == [(1, 0)]

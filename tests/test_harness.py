@@ -16,6 +16,7 @@ from hybridcast.harness import (
     sweep_csv_lines,
 )
 from hybridcast.oracle import case_statistics, check_total_order
+from hybridcast.runtime import AbcastRuntime
 from hybridcast.trace import Trace
 
 
@@ -137,16 +138,78 @@ def test_online_case_counts_match_the_written_trace(tmp_path):
         },
         "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0},
     })
+    metrics = _compare_online_and_written_case_counts(cfg, tmp_path)
+    assert metrics["case2_count"] > 0
+
+
+def _compare_online_and_written_case_counts(cfg, tmp_path) -> dict:
+    """Check a run's case counts, computed online, against those read back
+    from its ``trace.csv``; returns its metrics."""
     run_scenario(cfg).write(tmp_path)
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     trace = Trace.read_csv(tmp_path / "trace.csv")
     stats = case_statistics(trace)
-    assert metrics["case2_count"] > 0
     for key in ("case1_count", "case2_count", "case2_rate",
                 "gmd_path_count", "deadline_path_count"):
         assert metrics[key] == stats[key], key
     assert metrics["order_violations"] == len(check_total_order(trace))
     assert metrics["delivered_total"] == sum(1 for _ in trace.of_kind("DELIVER"))
+    return metrics
+
+
+# Lost acks make receivers fall back to the full vector, which the trace
+# records as ACK_FULL: a 3 % loss and a crash left in the view for 0.6 s
+LOSSY_CRASH = {
+    "seed": 5, "duration_us": 2_000_000, "mode": "HYBRID",
+    "num_client_nodes": 5,
+    "network": {"delay": {"family": "lognormal", "median_us": 3000,
+                          "sigma": 0.5},
+                "drop_prob": 0.03},
+    "crash_schedule": [{"node": 2, "at_us": 700_000}],
+    "view_install_delay_us": 600_000,
+    "workload": {"kind": "broadcast", "arrival_rate_per_s": 200.0,
+                 "stop_margin_us": 300_000},
+}
+
+
+def test_online_case_counts_match_the_written_trace_of_a_lossy_crash_run(
+        tmp_path):
+    _compare_online_and_written_case_counts(config_from_dict(LOSSY_CRASH),
+                                            tmp_path)
+    trace = Trace.read_csv(tmp_path / "trace.csv")
+    assert any(True for _ in trace.of_kind("ACK_FULL"))
+
+
+def test_the_written_trace_rebuilds_every_newest_vector(tmp_path):
+    """An ack arrival records only the entries that moved since the
+    acker's previous ack, and an ACK_FULL record follows one that came
+    after a lost ack; applied in record order they rebuild, for every live
+    node, each member's newest vector as the node holds it."""
+    cfg = config_from_dict(LOSSY_CRASH)
+    rt = AbcastRuntime(cfg)
+    try:
+        rt.engine.run_until(cfg.duration_us)
+        rt.engine.trace.write_csv(tmp_path / "trace.csv")
+    finally:
+        rt.engine.release()
+    rebuilt, full = {}, 0
+    with Trace.read_csv(tmp_path / "trace.csv") as trace:
+        for rec in trace:
+            if rec.event_kind == "INS_ACK":
+                link = (rec.node, rec.fields["frm"])
+                rebuilt.setdefault(link, {}).update(rec.fields.get("d", {}))
+            elif rec.event_kind == "ACK_FULL":
+                rebuilt[(rec.node, rec.fields["frm"])] = rec.fields["seen"]
+                full += 1
+    assert full > 0
+    live = [n for n in rt.nodes.values()
+            if not rt.engine.is_crashed(n.node_id)]
+    assert len(live) == 4
+    for node in live:
+        assert node.gmd.acks  # every member acked something
+        for acker, seen in node.gmd.acks.items():
+            assert rebuilt[(node.node_id, acker)] == seen, (node.node_id,
+                                                            acker)
 
 
 def test_online_exec_order_check_matches_the_written_trace(tmp_path):

@@ -7,9 +7,11 @@ from hybridcast import gmd, insurance
 from hybridcast.config import ScenarioConfig, config_from_dict
 from hybridcast.delays import compute_D
 from hybridcast.gmd import msg_id_str
+from hybridcast.harness import run_scenario
 from hybridcast.insurance import (
     DEADLINE_PATH,
     GMD_PATH,
+    InsuranceAck,
     InsuranceMessage,
     MODE_GMD_ONLY,
     MODE_HYBRID,
@@ -18,6 +20,7 @@ from hybridcast.insurance import (
 )
 from hybridcast.kernel import DelaySpec, Engine, NetworkModel
 from hybridcast.runtime import AbcastRuntime
+from test_digests import SCENARIOS
 
 
 def build_cluster(n=4, mode=MODE_HYBRID, delay_us=1000, seed=1, **params):
@@ -473,6 +476,77 @@ def test_heartbeat_ack_replaces_a_lost_ack():
     eng.run_until(120_000)
     assert delivered(nodes[1]) == [mid]
     assert not nodes[1].deadlines
+    # the heartbeat is node 2's second ack, and node 1 missed the first
+    assert [(r.sim_time_us, r.node, r.fields) for r in
+            eng.trace.of_kind("ACK_FULL")] == [(51_000, 1, {"frm": 2,
+                                                           "seen": {0: 0}})]
+
+
+def ack(ts, seen, v, changed):
+    return "INS_ACK", "", InsuranceAck(ts, seen, v, changed)
+
+
+def test_an_ack_after_a_lost_one_is_scanned_whole():
+    eng, nodes = build_cluster(n=4)
+    node = nodes[3]
+    node.on_message(1, *ack(10, {0: 0}, 1, {0: 0}))
+    assert set(node.holes) == {(0, 0)}
+    # ack 2 moved sender 2 to seq 0 and was lost; ack 3 moves sender 0
+    node.on_message(1, *ack(30, {0: 1, 2: 0}, 3, {0: 1}))
+    assert set(node.holes) == {(0, 0), (0, 1), (2, 0)}
+    assert [r.fields for r in eng.trace.of_kind("ACK_FULL")] == [
+        {"frm": 1, "seen": {0: 1, 2: 0}}]
+    # the next version is read by its moved entries alone
+    node.on_message(1, *ack(40, {0: 1, 2: 1}, 4, {2: 1}))
+    assert (2, 1) in node.holes
+    assert len(list(eng.trace.of_kind("ACK_FULL"))) == 1
+
+
+@pytest.mark.parametrize("arrival", ["ack", "copy already held"])
+def test_an_arrival_past_the_head_deadline_delivers_before_its_timer(arrival):
+    # node 2's clock runs 10 % fast, so it passes the head's deadline well
+    # before the timer, set in simulated time, fires; node 1 is down, so
+    # the all-ack path is blocked
+    eng, nodes = build_cluster(n=3, default_d_us=5000)
+    eng.clocks[2].drift_ppm = 100_000
+    eng.schedule_crash(1, 0)
+    mid = nodes[0].broadcast("deadline only")
+    eng.run_until(1000)  # copy 1 lands at node 2
+    node = nodes[2]
+    deadline = node.deadlines[mid]
+    passed = deadline * 10 // 11 + 1  # the simulated time it passes
+    fires = node._wake_at
+    assert passed + 100 < fires
+    eng.run_until(passed + 50)
+    assert delivered(node) == []
+    if arrival == "ack":
+        node.on_message(0, *ack(10, {0: 0}, 1, {0: 0}))
+    else:
+        node.on_message(0, "INS_MSG", msg_id_str(mid), node.store[mid])
+    assert delivered(node) == [mid]
+    assert [r.sim_time_us for r in eng.trace.of_kind("DELIVER")
+            if r.node == 2] == [passed + 50]
+
+
+def test_the_delivery_loop_runs_about_twice_per_delivery(monkeypatch):
+    """A deterministic guard on the delivery gate: an ack arrival, or a
+    copy already held, runs ``_try_deliver`` only once the head is covered
+    or past its deadline.  On the crash-lossy digest scenario that is 1.9
+    runs per DELIVER record; 5.0 when every arrival ran it."""
+    calls = 0
+    try_deliver = InsuranceNode._try_deliver
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        try_deliver(self)
+
+    monkeypatch.setattr(InsuranceNode, "_try_deliver", counted)
+    result = run_scenario(config_from_dict(SCENARIOS["hybrid-crash-lossy"]))
+    with result.trace as trace:
+        deliveries = sum(1 for _ in trace.of_kind("DELIVER"))
+    assert deliveries > 1000
+    assert calls <= 2.5 * deliveries, (calls, deliveries)
 
 
 def test_delay_estimate_feeds_deadline_bound():

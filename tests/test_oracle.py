@@ -108,12 +108,27 @@ class TestCaseClassification:
         t = Trace()
         bcast(t, 0, 0, "0:0", 10)
         bcast(t, 20, 2, "2:0", 30)
-        # node 1 acked something whose seen-vector covers sender 0 seq 0
+        # node 1 got an ack whose seen-vector covers sender 0 seq 0
         t.add(50, 1, "INS_ACK", "2:0",
-              {"frm": 1, "ats": 60, "seen": {0: 0, 2: 0}})
+              {"frm": 2, "ats": 60, "v": 1, "d": {0: 0, 2: 0}})
         deliver(t, 100, 1, "2:0", 30, path="DEADLINE_PATH")
         t.add(5_000, 1, "INS_RELAY", "0:0",
               {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
+        assert classify_case(t, "0:0", 1) == CASE_1
+
+    def test_a_full_vector_after_a_lost_ack_counts_as_knowledge(self):
+        t = Trace()
+        bcast(t, 0, 0, "0:0", 10)
+        bcast(t, 20, 2, "2:0", 30)
+        t.add(30, 1, "INS_ACK", "", {"frm": 2, "ats": 31, "v": 1})
+        # ack 2, which covered 0:0, was lost; ack 3 moved only sender 2
+        t.add(50, 1, "INS_ACK", "2:0",
+              {"frm": 2, "ats": 60, "v": 3, "d": {2: 0}})
+        t.add(50, 1, "ACK_FULL", "", {"frm": 2, "seen": {0: 0, 2: 0}})
+        deliver(t, 100, 1, "2:0", 30, path="DEADLINE_PATH")
+        t.add(5_000, 1, "INS_RELAY", "0:0",
+              {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
+        assert CaseIndex(t).first_knowledge("0:0", 1) == 50
         assert classify_case(t, "0:0", 1) == CASE_1
 
     def test_unknown_message_raises(self):
@@ -147,7 +162,7 @@ class TestCaseClassification:
         t = Trace()
         bcast(t, 0, 0, "0:3", 10)
         t.add(40, 1, "INS_ACK", "9:9",
-              {"frm": 1, "ats": 41, "seen": {0: 3}})
+              {"frm": 9, "ats": 41, "v": 1, "d": {0: 3}})
         t.add(70, 1, "INS_MSG", "0:3", {"ts": 10, "seq": 3, "copy": 1, "frm": 0})
         idx = CaseIndex(t)
         assert idx.first_knowledge("0:3", 1) == 40
@@ -156,7 +171,8 @@ class TestCaseClassification:
         # no seen-vector covers such an id, however high its marks
         t = Trace()
         bcast(t, 0, 0, "a", 10)
-        t.add(20, 1, "INS_ACK", "0:0", {"frm": 1, "ats": 21, "seen": {0: 99}})
+        t.add(20, 1, "INS_ACK", "0:0",
+              {"frm": 0, "ats": 21, "v": 1, "d": {0: 99}})
         t.add(50, 1, "INS_MSG", "a", {"ts": 10, "copy": 1, "frm": 0})
         deliver(t, 60, 1, "a", 10, path="DEADLINE_PATH")
         deliver(t, 70, 0, "a", 10)
@@ -170,8 +186,8 @@ class TestCaseClassification:
 def feed_synthetic_run(add, nodes, messages):
     """Per (message, node) pair a copy, an ack and a delivery, as a
     crash-free all-ack run records them; ids and times are fresh objects
-    per record, as the trace's are."""
-    marks = {}
+    per record, as the trace's are.  Node ``k`` hears the acks of node
+    ``k + 1``, each of which moved the one entry of the message it acks."""
     for m in range(messages):
         sender, seq = m % nodes, m // nodes
         t = 1000 * m
@@ -180,11 +196,11 @@ def feed_synthetic_run(add, nodes, messages):
             if k != sender:
                 add(t + 10 + k, k, "INS_MSG", f"{sender}:{seq}",
                     {"ts": t + 1, "seq": seq, "copy": 1, "frm": sender})
-        marks[sender] = seq
-        seen = dict(marks)  # one vector per message keeps the feed quick
+        moved = {sender: seq}
         for k in range(nodes):
             add(t + 30 + k, k, "INS_ACK", f"{sender}:{seq}",
-                {"frm": k, "ats": t + 40, "seen": seen})
+                {"frm": (k + 1) % nodes, "ats": t + 40, "v": m + 1,
+                 "d": moved})
         for k in range(nodes):
             add(t + 60 + k, k, "DELIVER", f"{sender}:{seq}",
                 {"path": "GMD_PATH", "ts": t + 1})
@@ -246,13 +262,19 @@ class Reference:
         sender = self.bcast[msg_id][0]
         seq = ref_seq(msg_id)
         times = [math.inf]
+        vectors = {}  # acker -> its newest vector, rebuilt record by record
         for t, n, kind, mid, f in self.records:
             if n != node:
                 continue
             if kind in _DIRECT and mid == msg_id:
                 times.append(t)
-            seen = f.get("seen") if kind == "INS_ACK" else None
-            if seq is not None and seen and seen.get(sender, -math.inf) >= seq:
+            if kind == "INS_ACK":  # the entries that moved
+                vectors.setdefault(f["frm"], {}).update(f.get("d", {}))
+            elif kind == "ACK_FULL":  # the whole vector, after a lost ack
+                vectors[f["frm"]] = dict(f["seen"])
+            else:
+                continue
+            if seq is not None and vectors[f["frm"]].get(sender, -1) >= seq:
                 times.append(t)
         return min(times)
 
@@ -345,12 +367,13 @@ _ts = st.integers(min_value=0, max_value=12)
 _deliver = st.tuples(st.just("DELIVER"), _node, _mid,
                      st.sampled_from(["GMD_PATH", "DEADLINE_PATH", None]),
                      st.none() | _ts)
+_vector = st.dictionaries(st.integers(0, 2), st.integers(-1, 2), min_size=1)
 _record = st.one_of(  # deliveries twice as often, so they repeat and cross
     st.tuples(st.just("BCAST"), _node, _mid, _ts),
     st.tuples(st.sampled_from(["INS_MSG", "INS_RELAY"]), _node, _mid),
-    st.tuples(st.just("INS_ACK"), _node,
-              st.none() | st.dictionaries(st.integers(0, 2),
-                                          st.integers(-1, 2), min_size=1)),
+    # (kind, receiver, acker, the entries that moved or the whole vector)
+    st.tuples(st.just("INS_ACK"), _node, _node, st.none() | _vector),
+    st.tuples(st.just("ACK_FULL"), _node, _node, _vector),
     _deliver,
     _deliver,
     st.tuples(st.just("CRASH"), _node),
@@ -374,7 +397,11 @@ def record_streams(draw):
             mid = rec[2]
         elif kind == "INS_ACK":
             mid = "0:0"
-            fields = {"frm": node} if rec[2] is None else {"seen": rec[2]}
+            fields = {"frm": rec[2]}
+            if rec[3] is not None:
+                fields["d"] = rec[3]
+        elif kind == "ACK_FULL":
+            fields = {"frm": rec[2], "seen": rec[3]}
         elif kind == "DELIVER":
             mid, path, ts = rec[2], rec[3], rec[4]
             if path == "DEADLINE_PATH" and ts is None:

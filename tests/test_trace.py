@@ -34,7 +34,9 @@ def test_csv_roundtrip(tmp_path):
     added = [
         (1, 0, "BCAST", "0:0", {"ts": 1}),
         (2, 1, "DELIVER", "0:0", {"path": "GMD_PATH", "ts": 1}),
-        (3, 2, "INS_ACK", "0:0", {"frm": 2, "ats": 4, "seen": {3: 7, 0: 2}}),
+        (3, 2, "INS_ACK", "0:0", {"frm": 0, "ats": 4, "v": 3, "d": {0: 2}}),
+        (3, 2, "ACK_FULL", "", {"frm": 0, "seen": {3: 7, 0: 2}}),
+        (4, 1, "INS_ACK", "", {"frm": 2, "ats": 5, "v": 1}),  # nothing moved
         (9, 2, "DELIVER", "1:5",
          {"path": "DEADLINE_PATH", "ts": 2, "clk": 9, "dl": 8}),
         (10, 1, "DROP", "1:5", {"kind": "INS_MSG", "to": 3}),
@@ -84,7 +86,7 @@ def test_on_record_sees_every_added_record():
 
 
 def test_trace_memory_does_not_grow_with_records():
-    fields = {"frm": 1, "ats": 10**6, "seen": {0: 7, 1: 9}}
+    fields = {"frm": 1, "ats": 10**6, "v": 9, "d": {0: 7}}
     tracemalloc.start()
     try:
         t = Trace()
