@@ -88,6 +88,21 @@ SCENARIOS = {
                      "participant_count_dist": 3, "ordering": "SERVICE",
                      "stop_margin_us": 300_000},
     },
+    # transactions ordered by their own all-ack broadcast, with a member
+    # crash at 1 s.  Its EXEC-order violations (DIRECT executes on local
+    # acks alone, not under Skeen's rule) and the transactions the crashed
+    # client leaves unexecuted are known holes: the DIRECT ordering rule
+    # and surviving a client crash (ROADMAP items 2 and 11) will move it.
+    "direct": {
+        "seed": 17, "duration_us": 2_000_000,
+        "num_client_nodes": 5,
+        "network": {"delay": {"family": "lognormal", "median_us": 3000,
+                              "sigma": 1.0}},
+        "crash_schedule": [{"node": 3, "at_us": 1_000_000}],
+        "workload": {"kind": "transactions", "arrival_rate_per_s": 200.0,
+                     "participant_count_dist": 3, "ordering": "DIRECT",
+                     "stop_margin_us": 300_000},
+    },
 }
 
 DIGESTS = {  # name -> (trace.csv, metrics.json)
@@ -109,6 +124,9 @@ DIGESTS = {  # name -> (trace.csv, metrics.json)
     "service-queued": (
         "1b82802f88d76f4e2f546261c6c216bcb42f5c359330865693fb2178a792b7cd",
         "c952ae08b420bd75e7ef0afbe0a57aed0790eb17a9c93dedab84964b1ca5a265"),
+    "direct": (
+        "fb6f24fcbfc13c4b24ab2e56e956ca6c3af1eb31336aeb3f31a3028d11d9c19b",
+        "c2426a13060144da301cff1810572ff9a4c45c6f43aa6dfa7d25a76328f089af"),
 }
 
 
@@ -130,18 +148,23 @@ def test_output_digests(name, tmp_path):
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_digests_hold_under_another_hash_seed(hash_seed, tmp_path):
     # string hashing is salted per process, so only a fresh interpreter
-    # shows whether any output depends on set or dict order of strings
+    # shows whether any output depends on set or dict order of strings:
+    # broadcast ids in "hybrid", transaction ids in "direct"
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
                                            str(tests)]))
-    code = ("import sys, pathlib, test_digests as d; "
-            "print(*d.output_digests('hybrid', pathlib.Path(sys.argv[1])))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    names = ("hybrid", "direct")
+    code = ("import sys, pathlib, test_digests as d\n"
+            "for name in sys.argv[2:]:\n"
+            "    out = pathlib.Path(sys.argv[1]) / name\n"
+            "    print(*d.output_digests(name, out))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *names],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert tuple(proc.stdout.split()) == DIGESTS["hybrid"]
+    got = [tuple(line.split()) for line in proc.stdout.splitlines()]
+    assert got == [DIGESTS[name] for name in names]
 
 
 if __name__ == "__main__":
