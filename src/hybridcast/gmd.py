@@ -24,7 +24,7 @@ still appear from a member whose vector covers the head:
   older ones.
 
 The sender's own messages need no vector from it: its seq stream shows
-them.  The core keeps a hybrid clock, the pending messages and each
+them.  The core keeps a ``HybridClock``, the pending messages and each
 member's newest vector; a message's id and timestamp only while it is
 pending.  It does not screen duplicates: the caller admits each message
 once.
@@ -48,13 +48,29 @@ def msg_id_str(msg_id: MsgId) -> str:
     return f"{msg_id[0]}:{msg_id[1]}"
 
 
+class HybridClock:
+    """A hybrid logical clock: each stamp is at least the local clock
+    reading and above every stamp issued or witnessed so far.  The one
+    home of that rule, for the GMD core and the DIRECT transaction path."""
+
+    def __init__(self):
+        self.last = 0  # the highest stamp issued or witnessed
+
+    def stamp(self, reading: int) -> int:
+        self.last = max(reading, self.last + 1)
+        return self.last
+
+    def witness(self, ts: int):
+        self.last = max(self.last, ts)
+
+
 class GmdNodeState:
     """Per-node GMD protocol state.  Pure: callers supply clock readings."""
 
     def __init__(self, node_id: int, membership):
         self.node_id = node_id
         self.membership = set(membership)
-        self.hybrid_clock = 0
+        self.clock = HybridClock()  # stamps broadcasts and acks
         self.pending: dict[MsgId, int] = {}  # msg_id -> ts
         self.delivered: list[MsgId] = []  # every delivery, in order
         self.acks: dict[int, dict] = {}  # member -> its newest seen-vector
@@ -65,19 +81,12 @@ class GmdNodeState:
         self._needed = 0
         self._covered = 0
 
-    def assign_timestamp(self, clock_reading: int) -> int:
-        """Stamp a broadcast or an ack above everything admitted so far."""
-        ts = max(clock_reading, self.hybrid_clock + 1)
-        self.hybrid_clock = ts
-        return ts
-
     def admit(self, msg_id: MsgId, ts: int):
         """Queue a message not admitted before, this node's own or a
         member's, and keep the hybrid clock at or above its ts."""
         self.pending[msg_id] = ts
         heapq.heappush(self._order, (ts, msg_id[0], msg_id[1], msg_id))
-        if ts > self.hybrid_clock:
-            self.hybrid_clock = ts
+        self.clock.witness(ts)
         if self._order[0][3] is msg_id:
             self._count_head()
 

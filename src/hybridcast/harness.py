@@ -143,14 +143,19 @@ def _run_transactions(cfg: ScenarioConfig, rt: OrderingRuntime) -> RunResult:
     metrics = RunMetrics(events_processed=events,
                          messages_total=len(rt.txs),
                          sends_by_kind=dict(rt.engine.send_counts))
-    done = [tx for tx in rt.txs.values() if tx.done_us >= 0]
-    metrics.latency_percentiles = latency_percentiles(
-        tx.done_us - tx.born_us for tx in done)
+    # a transaction is done once every participant executed it
+    count, last = executed.tallies()
+    latencies = []
+    for tx in rt.txs.values():
+        m = executed.numbers.get(tx.tx_id)
+        if m is not None and count[m] == len(tx.group):
+            latencies.append(last[m] - tx.born_us)
+    metrics.latency_percentiles = latency_percentiles(latencies)
     metrics.messages_per_tx_mean = rt.messages_per_tx()
     servers = rt.servers.values()
     metrics.rejected_requests = sum(s.state.rejected for s in servers)
     metrics.max_server_queue = max(s.max_queue for s in servers)
-    metrics.delivered_total = len(done)
+    metrics.delivered_total = len(latencies)
     metrics.undelivered_at_end = len(rt.txs) - metrics.delivered_total
     if len(rt.engine.trace) == 0:
         raise IncompleteTraceError("empty trace")

@@ -172,7 +172,7 @@ class InsuranceNode:
     # -- broadcast paths ---------------------------------------------------
 
     def broadcast(self, payload=None) -> tuple:
-        ts = self.gmd.assign_timestamp(self.clock())
+        ts = self.gmd.clock.stamp(self.clock())
         mid = (self.node_id, self.seqno)
         self.seqno += 1
         d_i = self.current_d()
@@ -209,7 +209,7 @@ class InsuranceNode:
         unlabelled, as its heartbeat, which replaces a lost ack.  The stamp
         exceeds the ts of every message the vector covers, since each was
         admitted before."""
-        ts = self.gmd.assign_timestamp(self.clock())
+        ts = self.gmd.clock.stamp(self.clock())
         seen = dict(self.contig)
         changed = self._moved
         if len(changed) > 1:  # in ``seen``'s order, which receivers scan in

@@ -113,6 +113,18 @@ class OrderIndex:
         """The record times at ``node``, in record order."""
         return self._column(node, 2)
 
+    def tallies(self) -> tuple:
+        """Two arrays indexed like ``numbers``: each message's records over
+        every node, and the time of its last one."""
+        count = array("q", [0]) * len(self.numbers)
+        last = array("q", [0]) * len(self.numbers)
+        for entries in self._entries.values():
+            for m, t in zip(entries[0::_STRIDE], entries[2::_STRIDE]):
+                count[m] += 1
+                if t > last[m]:
+                    last[m] = t
+        return count, last
+
     def sequences(self, nodes) -> dict:
         """node -> its msg_ids in record order, for each of ``nodes``."""
         names = list(self.numbers)
@@ -377,10 +389,6 @@ class CaseIndex:
             "gmd_path_count": self.path_counts.get("GMD_PATH", 0),
             "deadline_path_count": self.path_counts.get("DEADLINE_PATH", 0),
         }
-
-
-def classify_case(trace: Trace, msg_id: str, node: int) -> str:
-    return CaseIndex(trace).classify(msg_id, node)
 
 
 def case_statistics(trace: Trace) -> dict:

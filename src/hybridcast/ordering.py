@@ -1,5 +1,11 @@
-"""External transaction-ordering service: its server nodes and the
-participants' side.
+"""Transaction ordering: the order-service servers, the participants'
+side and the client nodes.
+
+Two ways to order a transaction among its k participants.  SERVICE asks
+an external order service; DIRECT runs an all-ack broadcast among the
+participants alone.  Each client is one ``TxClient`` node, which hosts
+its own transactions in either mode and takes part in other clients'
+transactions, from its own state and the messages it receives.
 
 Dedicated servers (``OrderServer``) hand out dense global order numbers.
 Each response also carries, per participant, a short history of the
@@ -31,6 +37,8 @@ stay cached until its next request.  A
 participant keeps a transaction's order number and history (the list
 the response carries, not a copy) from its ORDER_FWD until it executes
 the transaction; after that it keeps only the id, in ``executed_set``.
+A host keeps a request's record only until its first response, and a
+DIRECT participant keeps a transaction's acks only until it executes it.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import UnknownTransactionError
+from .gmd import HybridClock
 
 ADMIT = "ADMIT"
 REJECT = "REJECT"
@@ -334,6 +343,171 @@ class ParticipantState:
                     remaining.append((order_no, tx_id))
             self._waiting = remaining
         return newly
+
+
+@dataclass(slots=True)
+class _Request:
+    """A transaction this client hosts, until its first ORDER_RESP."""
+    group: tuple
+    attempts: int = 0
+    cursor: int = 0  # picks the server among the operative ones
+    token: int = -1  # the pending request timeout
+
+
+class TxClient:
+    """One client node: the host of its own transactions and a participant
+    in others'.
+
+    A transaction's group lists its host first.  In SERVICE mode the host
+    asks the order service, retries on a timeout (at the next server) or
+    a rejection (after a backoff), and forwards the first response to
+    every participant (ORDER_FWD), itself included.  In DIRECT mode the
+    host stamps the transaction from its hybrid clock and sends it to the
+    other participants (TX_MSG); each participant, the host included, acks
+    it to the others with its own stamp (TX_ACK), and executes the
+    transactions it holds in (ts, host) order once all k acks of the
+    earliest are in.
+
+    Two reads reach past this node's own state, and no real client could
+    make either: it picks among the servers that have not crashed
+    (``engine.is_crashed``), and the first request of each transaction
+    goes to the server that ``rr`` (one counter shared by every client)
+    names, round robin."""
+
+    def __init__(self, engine, node_id: int, cfg, servers: tuple, rr):
+        self.engine = engine
+        self.node_id = node_id
+        self.cfg = cfg
+        self.servers = servers
+        self.rr = rr
+        self.participant = ParticipantState(node_id)
+        # (tx_id, copies sent) of answered transactions, sent with the
+        # next request so the servers can drop those responses
+        self.answered: list = []
+        self.requests: dict[str, _Request] = {}  # unanswered, by tx_id
+        self.clock = HybridClock()
+        self.pending: list = []  # DIRECT: sorted (ts, host, tx_id, k)
+        self.acks: dict[str, set] = {}  # DIRECT: tx_id -> ackers
+
+    def start(self, tx_id: str, group: tuple):
+        """Order a transaction this node hosts (``group[0]``)."""
+        if self.cfg.workload.ordering == MODE_SERVICE:
+            req = self.requests[tx_id] = _Request(group)
+            self._submit(tx_id, req)
+        else:
+            ts = self.clock.stamp(self.engine.now)
+            fields = {"frm": self.node_id, "ts": ts}
+            for member in group[1:]:
+                self.engine.send(self.node_id, member, "TX_MSG", tx_id,
+                                 (tx_id, ts, group), fields)
+            self._admit(tx_id, ts, group)
+
+    def on_timer(self, key, data):
+        tag, tx_id = key  # "retry" or "reqto"
+        req = self.requests.get(tx_id)
+        if req is None:
+            return  # answered: no copy after the first response
+        if tag == "reqto":
+            req.cursor += 1
+        self._submit(tx_id, req)
+
+    def on_message(self, frm: int, kind: str, msg_id: str, payload):
+        if kind == "ORDER_RESP":
+            self._on_response(payload)
+        elif kind == "ORDER_REJECT":
+            self._on_reject(msg_id)
+        elif kind == "ORDER_FWD":
+            for tx_id, order_no in self.participant.on_order(*payload):
+                self._execute(tx_id, order_no)
+        elif kind == "TX_MSG":
+            self._admit(*payload)
+        elif kind == "TX_ACK":
+            self._on_ack(*payload)
+
+    def _execute(self, tx_id: str, order: int):
+        self.engine.trace.add(self.engine.now, self.node_id, "EXEC", tx_id,
+                              {"ts": order})
+
+    # -- SERVICE -------------------------------------------------------------
+
+    def _submit(self, tx_id: str, req: _Request):
+        engine = self.engine
+        operative = [s for s in self.servers if not engine.is_crashed(s)]
+        if not operative:
+            engine.trace.add(engine.now, self.node_id, "NO_SERVERS", tx_id)
+            return
+        if req.attempts == 0:
+            req.cursor = next(self.rr)
+        server = operative[req.cursor % len(operative)]
+        kind = "ORDER_REQ" if req.attempts == 0 else "ORDER_RETRY"
+        req.attempts += 1
+        msg = OrderRequest(tx_id, self.node_id, frozenset(req.group),
+                           tuple(self.answered))
+        self.answered.clear()
+        engine.send(self.node_id, server, kind, tx_id, msg,
+                    {"frm": self.node_id, "attempt": req.attempts})
+        req.token = engine.set_timer(
+            self.node_id, self.cfg.workload.request_timeout_us,
+            ("reqto", tx_id))
+
+    def _cancel_timeout(self, req: _Request):
+        if req.token >= 0:
+            self.engine.cancel_timer(req.token)
+            req.token = -1
+
+    def _on_response(self, resp: OrderResponse):
+        req = self.requests.pop(resp.tx_id, None)
+        if req is None:
+            return  # a later copy's answer
+        self._cancel_timeout(req)
+        self.answered.append((resp.tx_id, req.attempts))
+        fields = {"order": resp.order_no}
+        for member in req.group:
+            history = resp.histories.get(member, [])
+            self.engine.send(self.node_id, member, "ORDER_FWD", resp.tx_id,
+                             (resp.tx_id, resp.order_no, history), fields)
+
+    def _on_reject(self, tx_id: str):
+        req = self.requests.get(tx_id)
+        if req is None:
+            return  # answered meanwhile
+        self._cancel_timeout(req)
+        wl = self.cfg.workload
+        if req.attempts > wl.max_retries:
+            return  # give up; the transaction stays unordered
+        backoff = min(wl.backoff_base_us * (2 ** (req.attempts - 1)),
+                      wl.backoff_cap_us)
+        self.engine.set_timer(self.node_id, backoff, ("retry", tx_id))
+
+    # -- DIRECT --------------------------------------------------------------
+
+    def _admit(self, tx_id: str, ts: int, group: tuple):
+        """Hold a transaction until it executes here, and ack it to the
+        other participants with a stamp above its ts."""
+        self.clock.witness(ts)
+        bisect.insort(self.pending, (ts, group[0], tx_id, len(group)))
+        ats = self.clock.stamp(self.engine.now)
+        self._on_ack(tx_id, self.node_id, ats)
+        fields = {"frm": self.node_id, "ats": ats}
+        for member in group:
+            if member != self.node_id:
+                self.engine.send(self.node_id, member, "TX_ACK", tx_id,
+                                 (tx_id, self.node_id, ats), fields)
+
+    def _on_ack(self, tx_id: str, acker: int, ats: int):
+        """Count ``acker``'s ack, then execute the fully acked transactions
+        in (ts, host) order; a pending earlier one holds everything behind
+        it."""
+        self.clock.witness(ats)
+        self.acks.setdefault(tx_id, set()).add(acker)
+        pending = self.pending
+        while pending:
+            ts, _, head, k = pending[0]
+            if len(self.acks.get(head, ())) < k:
+                break
+            pending.pop(0)
+            del self.acks[head]  # every participant has acked
+            self._execute(head, ts)
 
 
 def message_cost_model(k: int, mode: str) -> int:

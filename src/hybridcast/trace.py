@@ -178,9 +178,6 @@ class Trace:
             if parts[2] == kind:
                 yield _record(*parts)
 
-    def to_csv_lines(self) -> list[str]:
-        return [TRACE_HEADER, *self._lines()]
-
     def write_csv(self, path):
         with open(path, "wb") as fh:
             fh.write(f"{TRACE_HEADER}\n".encode())

@@ -5,7 +5,7 @@ def receive(node, msg_id, ts, clock_reading):
     """Admit a member's broadcast and stamp this node's ack for it, as the
     insurance node does; returns the ack's seen-vector for the sender."""
     node.admit(msg_id, ts)
-    node.assign_timestamp(clock_reading)
+    node.clock.stamp(clock_reading)
     return {msg_id[0]: msg_id[1]}
 
 
@@ -13,7 +13,7 @@ def bcast(nodes, sender, clock_reading, seq):
     """Drive one broadcast through every node synchronously; returns its
     (msg_id, ts).  Every node is taken to hold the sender's earlier
     broadcasts."""
-    ts = nodes[sender].assign_timestamp(clock_reading)
+    ts = nodes[sender].clock.stamp(clock_reading)
     msg_id = (sender, seq)
     nodes[sender].admit(msg_id, ts)
     acks = [(n.node_id, receive(n, msg_id, ts, clock_reading))
@@ -45,10 +45,10 @@ def test_msg_id_str():
 
 def test_assign_timestamp_monotonic_past_clock():
     n = GmdNodeState(0, [0, 1])
-    assert n.assign_timestamp(100) == 100
+    assert n.clock.stamp(100) == 100
     # stalled local clock still yields strictly growing timestamps
-    assert n.assign_timestamp(100) == 101
-    assert n.assign_timestamp(500) == 500
+    assert n.clock.stamp(100) == 101
+    assert n.clock.stamp(500) == 500
 
 
 def test_single_broadcast_delivers_everywhere():
@@ -62,7 +62,7 @@ def test_single_broadcast_delivers_everywhere():
 
 def test_delivery_needs_every_foreign_ack():
     nodes = make_group()
-    ts = nodes[0].assign_timestamp(1000)
+    ts = nodes[0].clock.stamp(1000)
     nodes[0].admit((0, 0), ts)
     nodes[0].on_ack(1, receive(nodes[1], (0, 0), ts, 1005))
     assert not nodes[0].head_deliverable()  # node 2 has not acked
@@ -120,13 +120,13 @@ def test_vector_below_seq_does_not_deliver():
 
 def test_remove_member_unblocks_pending():
     nodes = make_group()
-    ts = nodes[0].assign_timestamp(1000)
+    ts = nodes[0].clock.stamp(1000)
     nodes[1].admit((0, 0), ts)
     nodes[1].on_ack(2, receive(nodes[2], (0, 0), ts, 1007))
     # node 0 crashed before acking anything else
     assert nodes[1].head_deliverable()  # sender ack is implicit
     # now block on a foreign message instead
-    ts2 = nodes[2].assign_timestamp(2000)
+    ts2 = nodes[2].clock.stamp(2000)
     deliver_all(nodes[1])
     nodes[1].admit((2, 1), ts2)
     assert not nodes[1].head_deliverable()  # waiting on crashed node 0
@@ -138,7 +138,7 @@ def test_receive_bumps_hybrid_clock():
     n = GmdNodeState(1, [0, 1])
     n.admit((0, 0), 5000)
     # next local timestamp must exceed what was seen
-    assert n.assign_timestamp(20) > 5000
+    assert n.clock.stamp(20) > 5000
 
 
 def test_an_ack_reports_whether_the_head_became_deliverable():

@@ -14,7 +14,6 @@ from hybridcast.oracle import (
     OrderViolation,
     case_statistics,
     check_total_order,
-    classify_case,
 )
 from hybridcast.trace import Trace
 
@@ -83,7 +82,7 @@ class TestCaseClassification:
         t = Trace()
         bcast(t, 0, 0, "0:0", 10)
         deliver(t, 100, 1, "0:0", 10, path="GMD_PATH")
-        assert classify_case(t, "0:0", 1) == GMD_ORDERED
+        assert CaseIndex(t).classify("0:0", 1) == GMD_ORDERED
 
     def test_case1_when_knowledge_precedes_any_deadline_delivery(self):
         t = Trace()
@@ -91,7 +90,7 @@ class TestCaseClassification:
         t.add(50, 1, "INS_MSG", "0:0", {"ts": 10, "seq": 0, "copy": 1, "frm": 0})
         deliver(t, 500, 1, "0:5", 400, path="DEADLINE_PATH")
         bcast(t, 390, 0, "0:5", 400)
-        assert classify_case(t, "0:0", 1) == CASE_1
+        assert CaseIndex(t).classify("0:0", 1) == CASE_1
 
     def test_case2_when_larger_ts_deadline_delivered_first(self):
         t = Trace()
@@ -102,7 +101,7 @@ class TestCaseClassification:
         t.add(5_000, 1, "INS_RELAY", "0:0",
               {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
         deliver(t, 5_001, 1, "0:0", 10, path="DEADLINE_PATH")
-        assert classify_case(t, "0:0", 1) == CASE_2
+        assert CaseIndex(t).classify("0:0", 1) == CASE_2
 
     def test_seen_vector_counts_as_knowledge(self):
         t = Trace()
@@ -114,7 +113,7 @@ class TestCaseClassification:
         deliver(t, 100, 1, "2:0", 30, path="DEADLINE_PATH")
         t.add(5_000, 1, "INS_RELAY", "0:0",
               {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
-        assert classify_case(t, "0:0", 1) == CASE_1
+        assert CaseIndex(t).classify("0:0", 1) == CASE_1
 
     def test_a_full_vector_after_a_lost_ack_counts_as_knowledge(self):
         t = Trace()
@@ -129,13 +128,13 @@ class TestCaseClassification:
         t.add(5_000, 1, "INS_RELAY", "0:0",
               {"ts": 10, "seq": 0, "copy": 1, "frm": 2, "relay": 2})
         assert CaseIndex(t).first_knowledge("0:0", 1) == 50
-        assert classify_case(t, "0:0", 1) == CASE_1
+        assert CaseIndex(t).classify("0:0", 1) == CASE_1
 
     def test_unknown_message_raises(self):
         t = Trace()
         deliver(t, 1, 0, "a", 1)
         with pytest.raises(IncompleteTraceError):
-            classify_case(t, "9:9", 0)
+            CaseIndex(t).classify("9:9", 0)
 
     def test_crashed_nodes_excluded_from_statistics(self):
         t = Trace()
@@ -180,7 +179,7 @@ class TestCaseClassification:
         assert idx.first_knowledge("a", 1) == 50
         assert idx.first_knowledge("a", 2) == math.inf
         assert case_statistics(t)["case1_count"] == 1
-        assert classify_case(t, "a", 0) == GMD_ORDERED
+        assert CaseIndex(t).classify("a", 0) == GMD_ORDERED
 
 
 def feed_synthetic_run(add, nodes, messages):

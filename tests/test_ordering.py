@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from hybridcast.ordering import (
     OrderServerState,
     ParticipantState,
     TokenBucket,
+    TxClient,
     message_cost_model,
 )
 from hybridcast.runtime import OrderingRuntime
@@ -317,6 +319,87 @@ class TestOrderServerNode:
             backup = rt.servers[s].state
             assert backup.per_participant_log == primary.per_participant_log
             assert backup.next_order_no == primary.next_order_no
+
+
+DIRECT_CFG = config_from_dict({
+    "seed": 1, "duration_us": 1_000_000, "num_client_nodes": 3,
+    "workload": {"kind": "transactions", "participant_count_dist": 3,
+                 "ordering": "DIRECT"}})
+
+
+def direct_client(engine, node_id):
+    """A DIRECT client on ``engine``, built without any runtime."""
+    node = TxClient(engine, node_id, DIRECT_CFG, (), itertools.count())
+    engine.add_node(node_id, on_message=node.on_message,
+                    on_timer=node.on_timer)
+    return node
+
+
+def one_ms_engine():
+    return Engine(1, NetworkModel(delay=DelaySpec("fixed", value_us=1000)))
+
+
+def exec_records(engine):
+    return [(r.node, r.msg_id, r.fields["ts"])
+            for r in records(engine, "EXEC")]
+
+
+class TestTxClientDirect:
+    def test_executes_in_ts_then_host_order_once_all_acks_are_in(self):
+        engine = one_ms_engine()
+        node = direct_client(engine, 2)  # fed by hand: no peer is built
+        node.on_message(1, "TX_MSG", "b", ("b", 5000, (1, 0, 2)))
+        node.on_message(0, "TX_MSG", "a", ("a", 5000, (0, 1, 2)))
+        node.on_message(0, "TX_ACK", "b", ("b", 0, 5001))
+        node.on_message(1, "TX_ACK", "b", ("b", 1, 5001))
+        # b holds all three acks, but a, stamped the same by a lower host,
+        # comes first and is still pending
+        assert exec_records(engine) == []
+        node.on_message(1, "TX_ACK", "a", ("a", 1, 5002))
+        assert exec_records(engine) == []  # two of a's three acks
+        node.on_message(0, "TX_ACK", "a", ("a", 0, 5002))
+        assert exec_records(engine) == [(2, "a", 5000), (2, "b", 5000)]
+        assert node.pending == [] and node.acks == {}
+
+    def test_a_fully_acked_transaction_waits_behind_an_earlier_one(self):
+        engine = one_ms_engine()
+        node = direct_client(engine, 2)
+        node.on_message(0, "TX_MSG", "early", ("early", 100, (0, 1, 2)))
+        node.on_message(1, "TX_MSG", "late", ("late", 200, (1, 2)))
+        node.on_message(1, "TX_ACK", "late", ("late", 1, 201))
+        assert exec_records(engine) == []
+        assert [entry[2] for entry in node.pending] == ["early", "late"]
+        node.on_message(0, "TX_ACK", "early", ("early", 0, 101))
+        node.on_message(1, "TX_ACK", "early", ("early", 1, 101))
+        assert exec_records(engine) == [(2, "early", 100), (2, "late", 200)]
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("TX_MSG", ("x", 9000, (0, 1, 2))),
+        ("TX_ACK", ("x", 0, 9000)),
+    ])
+    def test_a_higher_stamp_received_raises_the_next_one(self, kind,
+                                                         payload):
+        engine = one_ms_engine()
+        node = direct_client(engine, 2)
+        node.on_message(0, kind, "x", payload)
+        node.start("y", (2, 0, 1))  # the local clock reads 0
+        engine.run_until(10_000)
+        sent = [r.fields["ts"] for r in records(engine, "TX_MSG")]
+        assert len(sent) == 2 and all(ts > 9000 for ts in sent)
+
+    def test_clients_without_a_runtime_execute_from_messages_alone(self):
+        engine = one_ms_engine()
+        nodes = [direct_client(engine, c) for c in range(3)]
+        engine.run_until(5000)
+        nodes[1].start("t", (1, 0, 2))
+        engine.run_until(10_000)
+        assert sorted(exec_records(engine)) == [
+            (0, "t", 5000), (1, "t", 5000), (2, "t", 5000)]
+        # the host's TX_MSG lands at 6000 us, every ack 1 ms after its send
+        assert [r.sim_time_us for r in records(engine, "EXEC")] == [
+            7000, 7000, 7000]
+        assert all(n.pending == [] and n.acks == {} for n in nodes)
+        assert engine.send_counts == {"TX_MSG": 2, "TX_ACK": 6}
 
 
 class TestParticipant:

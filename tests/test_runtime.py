@@ -16,6 +16,17 @@ def tx_cfg(**over):
     return config_from_dict(data)
 
 
+def executes_once_everywhere(rt):
+    """Whether every transaction has exactly one EXEC record at each of
+    its participants, and no other, counted from the trace."""
+    counts = {}
+    for rec in rt.engine.trace.of_kind("EXEC"):
+        key = (rec.msg_id, rec.node)
+        counts[key] = counts.get(key, 0) + 1
+    expected = {(tx.tx_id, p): 1 for tx in rt.txs.values() for p in tx.group}
+    return bool(rt.txs) and counts == expected
+
+
 def kind_counts(trace):
     counts = {}
     for rec in trace:
@@ -78,8 +89,8 @@ def test_direct_path_frees_each_ack_set_when_it_executes():
         workload={"kind": "transactions", "arrival_rate_per_s": 100.0,
                   "participant_count_dist": 3, "ordering": "DIRECT"}))
     rt.engine.run_until(rt.cfg.duration_us)
-    assert rt.txs and all(tx.done_us >= 0 for tx in rt.txs.values())
-    assert rt._direct_acks == {}
+    assert executes_once_everywhere(rt)
+    assert all(node.acks == {} for node in rt.nodes.values())
 
 
 def test_participants_keep_no_order_of_an_executed_transaction():
@@ -87,8 +98,9 @@ def test_participants_keep_no_order_of_an_executed_transaction():
         duration_us=3_000_000,
         crash_schedule=[{"node": 1002, "at_us": 1_000_000}]))
     rt.engine.run_until(rt.cfg.duration_us)
-    assert rt.txs and all(tx.done_us >= 0 for tx in rt.txs.values())
-    for part in rt.participants.values():
+    assert executes_once_everywhere(rt)
+    for node in rt.nodes.values():
+        part = node.participant
         assert part.executed_set and part.known_orders == {}
 
 
@@ -115,7 +127,7 @@ def test_a_transaction_run_holds_at_most_500_live_bytes_per_transaction():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert all(tx.done_us >= 0 for tx in rt.txs.values())
+    assert executes_once_everywhere(rt)
     assert grown <= 500 * len(rt.txs)
 
 
@@ -132,7 +144,7 @@ def test_a_host_sends_no_copy_of_an_answered_transaction():
     # a reject lands at +1 ms; the answer at +3 ms; the retry at +11 ms
     rt.engine.send(1002, tx.host, "ORDER_REJECT", tx.tx_id, None)
     rt.engine.run_until(rt.cfg.duration_us)
-    assert tx.responded
+    assert tx.tx_id not in rt.nodes[tx.host].requests  # answered
     kinds = [r.event_kind for r in rt.engine.trace if r.msg_id == tx.tx_id]
     assert "ORDER_RETRY" not in kinds
     assert kinds.count("ORDER_RESP") == 1
